@@ -2,10 +2,11 @@
 
 Three routes are implemented and cross-checked rather than collapsed:
 
-* a per-row inequality on the image ellipsoid (fast, one-sided),
+* a per-row inequality on the image ellipsoid (fast, neither necessary
+  nor sufficient),
 * an exact oracle comparing the ellipsoid sup norm against 1,
-* a Krein-space contraction test searching for a feasible scale t with
-  J - t^2 m* J m positive semidefinite, J = diag(I, -1).
+* a Krein-space contraction test, exact and scale-invariant, for a scale t
+  with J - t^2 m* J m positive semidefinite, J = diag(I, -1).
 
 Agreement between the row test and the oracle is measured, never
 assumed.  Classification of verified self-maps follows the orbit of the
@@ -16,6 +17,7 @@ that slowly attracting boundary fixed points are resolved sharply.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,21 +34,13 @@ from .lfm import LFMap, evaluate, evaluate_batch, from_associated_matrix
 ROW_REL_TOL = 1e-10
 ORACLE_TOL = 1e-9
 KREIN_PSD_TOL = 1e-10
-KREIN_GRID_POINTS = 121
-KREIN_GRID_DECADES = (-6.0, 6.0)
+# krein_check narrows the bracket of its maximiser to this relative width.
+_KREIN_ARGMAX_RTOL = 1e-11
 SAMPLE_CHUNK = 4096
 
 CLASS_INTERIOR = "interior_fixed_point"
 CLASS_BOUNDARY = "boundary_denjoy_wolff"
 CLASS_NOT_SELFMAP = "not_selfmap"
-
-
-@dataclass(frozen=True)
-class KreinForm:
-    """The indefinite metric diag(I, -1) together with a feasible scale."""
-
-    metric: np.ndarray
-    t: float
 
 
 @dataclass(frozen=True)
@@ -87,9 +81,11 @@ def row_criterion(
     where r_i is the conjugate transpose of the i-th row of the image
     ellipsoid's shape matrix; both sides are then rescaled by
     (|d|^2 - |c|^2)^2.  Returns (row_lhs, rhs, verdicts); the verdict
-    allows rel_tol of slack relative to rhs.  Rows at or below the bound
-    are necessary for the map to send the ball into itself, but the test
-    probes only finitely many directions: compare with the sup oracle.
+    allows rel_tol of slack relative to rhs.  The rows are neither
+    necessary nor sufficient for the map to send the ball into itself:
+    a map can pass every row and leave the ball, and a self-map can
+    exceed a row (A = [[-1/2, -1/2], [-1/4, 1/4]], B = (0, 1/2), C = 0,
+    D = 1 has sup sqrt(5/6) but row 1 at 1.25).  The sup oracle decides.
     """
     if not phi.pole_free_on_ball:
         raise PoleError("row criterion needs a pole-free map")
@@ -126,52 +122,118 @@ def linear_criterion(phi: LFMap, rel_tol: float = ROW_REL_TOL):
     return lhs, lhs <= 1.0 + rel_tol
 
 
-def krein_check(
-    phi: LFMap,
-    psd_tol: float = KREIN_PSD_TOL,
-    grid_points: int = KREIN_GRID_POINTS,
-) -> float | None:
-    """Search for t > 0 making J - t^2 m* J m positive semidefinite.
+class _PencilPoint(NamedTuple):
+    """lambda_min(J - s H) at s with its first two derivatives in s."""
 
-    The smallest eigenvalue of that matrix is concave in t^2, so a
-    logarithmic grid over [1e-6, 1e6] followed by golden-section
-    refinement of the best bracket finds its maximum; feasibility means
-    the maximum is >= -psd_tol.  Returns the feasible t or None.
+    s: float
+    value: float
+    slope: float
+    curvature: float
+
+
+def _pencil_point(j: np.ndarray, h: np.ndarray, s: float) -> _PencilPoint:
+    """One eigh of J - s H.
+
+    The slope is -v0* H v0 for the bottom eigenvector v0, a supergradient
+    of the concave lambda_min even where eigenvalues cross.  The curvature
+    is the second-order perturbation sum 2 sum_k |v_k* H v0|^2 /
+    (lam_0 - lam_k), -inf or nan where the bottom eigenvalue is multiple.
+    """
+    lam, vec = np.linalg.eigh(j - s * h)
+    w = vec.conj().T @ (h @ vec[:, 0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        curvature = -2.0 * float(np.sum(np.abs(w[1:]) ** 2 / (lam[1:] - lam[0])))
+    return _PencilPoint(s, float(lam[0]), -float(w[0].real), curvature)
+
+
+def _narrow(lo: _PencilPoint, hi: _PencilPoint | None, x: _PencilPoint):
+    """The bracket (lo, hi) of the maximiser of f after evaluating x in it.
+
+    A concave f rises where its slope is positive; a zero slope makes x
+    the maximiser, returned as both ends.
+    """
+    if x.slope > 0.0:
+        return x, hi
+    if x.slope < 0.0:
+        return lo, x
+    return x, x
+
+
+def krein_check(phi: LFMap, psd_tol: float = KREIN_PSD_TOL) -> float | None:
+    """The t > 0 maximising lambda_min(J - t^2 m* J m), or None if infeasible.
+
+    With m normalised by max|m| and s = t^2 max|m|^2 the matrix is
+    J - s H, H = m* J m, so neither the search nor psd_tol depends on the
+    scale of the coefficients.  f(s) = lambda_min(J - s H) is concave with
+    f(0) = -1, and J - s H is singular exactly at s = 1/mu for the
+    eigenvalues mu of J H, so the zeros of f are among those points.  The
+    real parts of the mu with Re mu > 0 are taken: a defective mu
+    (parabolic boundary contact) splits into a near-real complex pair.
+    The sign of f' at these points and at their geometric midpoints,
+    found by bisecting the sorted list, brackets the maximiser.  Each step
+    then costs one eigh: a Newton step on f' from the bracket end with the
+    flatter slope; if that leaves the bracket or fails to halve the last
+    step, the intersection of the end tangents (exact at a kink where two
+    eigenvalues cross); bisection whenever the bracket has not halved in
+    two steps.  The map is feasible when f at the maximiser is >= -psd_tol;
+    the search stops early once the end tangents put f below that.
     """
     m = phi.associated_matrix()
-    j = krein_metric(phi.dim)
+    scale = float(np.max(np.abs(m)))
+    m = m / scale
+    n = phi.dim
+    j = krein_metric(n)
     h = m.conj().T @ j @ m
     h = (h + h.conj().T) / 2.0
-
-    def worst_eig(t: float) -> float:
-        pencil = j - (t * t) * h
-        return float(np.linalg.eigvalsh((pencil + pencil.conj().T) / 2.0)[0])
-
-    ts = np.logspace(KREIN_GRID_DECADES[0], KREIN_GRID_DECADES[1], grid_points)
-    vals = np.array([worst_eig(t) for t in ts])
-    best = int(np.argmax(vals))
-    lo = ts[max(best - 1, 0)]
-    hi = ts[min(best + 1, grid_points - 1)]
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = worst_eig(x1), worst_eig(x2)
-    while hi - lo > 1e-12 * hi:
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = worst_eig(x1)
+    # J has its only negative eigenvalue -1 on e_n, so f'(0) = -H[n, n];
+    # a map sending 0 outside the open ball has f <= -1 throughout.
+    lo = _PencilPoint(0.0, -1.0, -float(h[n, n].real), 0.0)
+    if lo.slope <= 0.0:
+        return None
+    mu = np.linalg.eigvals(j @ h).real
+    roots = np.unique(1.0 / mu[mu > 0.0])
+    if roots.size == 0:
+        return None
+    points = np.empty(2 * roots.size - 1)
+    points[0::2] = roots
+    points[1::2] = np.sqrt(roots[:-1] * roots[1:])
+    hi = None
+    first, last = 0, points.size - 1
+    while first <= last:
+        k = (first + last) // 2
+        x = _pencil_point(j, h, float(points[k]))
+        lo, hi = _narrow(lo, hi, x)
+        if lo is hi:
+            break
+        if lo is x:
+            first = k + 1
         else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = worst_eig(x2)
-    t_best = x1 if f1 >= f2 else x2
-    f_best = max(f1, f2, vals[best])
-    if f_best == vals[best]:
-        t_best = float(ts[best])
-    if f_best >= -psd_tol:
-        return float(t_best)
-    return None
+            last = k - 1
+    while hi is None:
+        lo, hi = _narrow(lo, hi, _pencil_point(j, h, 2.0 * lo.s))
+    widths = [np.inf, np.inf, hi.s - lo.s]
+    step = hi.s - lo.s
+    while hi.s - lo.s > _KREIN_ARGMAX_RTOL * hi.s:
+        s_tan = (hi.value - lo.value + lo.slope * lo.s - hi.slope * hi.s) / (lo.slope - hi.slope)
+        if lo.value + lo.slope * (s_tan - lo.s) < -psd_tol:
+            return None
+        base = lo if lo.slope <= -hi.slope else hi
+        s_new = base.s - base.slope / base.curvature if base.curvature < 0.0 else np.nan
+        if not (lo.s <= s_new <= hi.s and abs(s_new - base.s) <= 0.5 * step):
+            s_new = s_tan
+        if not (lo.s <= s_new <= hi.s and widths[-1] <= 0.5 * widths[-3]):
+            s_new = 0.5 * (lo.s + hi.s)
+        # Stay clear of the ends, so that a converged step lands across
+        # the maximiser and closes the bracket.
+        margin = 0.25 * _KREIN_ARGMAX_RTOL * hi.s
+        s_new = min(max(s_new, lo.s + margin), hi.s - margin)
+        step = abs(s_new - base.s)
+        lo, hi = _narrow(lo, hi, _pencil_point(j, h, s_new))
+        widths.append(hi.s - lo.s)
+    best = lo if lo.value >= hi.value else hi
+    if best.value < -psd_tol:
+        return None
+    return float(np.sqrt(best.s) / scale)
 
 
 def oracle_is_selfmap(phi: LFMap, tol: float = ORACLE_TOL) -> tuple[float, bool]:

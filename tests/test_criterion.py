@@ -11,6 +11,7 @@ from ballmaps import (
     agreement_table,
     automorphism_to_lfmap,
     check,
+    compose,
     ellipsoid_sup_norm,
     image_ellipsoid,
     krein_check,
@@ -33,6 +34,51 @@ from ballmaps.criterion import (
 
 def involution_map(alpha):
     return automorphism_to_lfmap(BallAutomorphism(alpha, np.eye(len(alpha))))
+
+
+def coefficient_map(m):
+    """The map with associated matrix m, coefficients taken as they are."""
+    n = m.shape[0] - 1
+    return LFMap(m[:n, :n], m[:n, n], np.conj(m[n, :n]), m[n, n])
+
+
+def krein_min_eig(phi, t):
+    """Smallest eigenvalue of J - t^2 m* J m at the map's own coefficients."""
+    m = phi.associated_matrix()
+    j = krein_metric(phi.dim)
+    pencil = j - t * t * (m.conj().T @ j @ m)
+    return float(np.linalg.eigvalsh((pencil + pencil.conj().T) / 2.0)[0])
+
+
+def ball_point(n, rng, low, high):
+    """A point of the ball with norm drawn uniformly from [low, high]."""
+    g = rng.standard_normal(2 * n)
+    alpha = g[::2] + 1j * g[1::2]
+    return alpha * (rng.uniform(low, high) / np.linalg.norm(alpha))
+
+
+def random_automorphism_matrix(n, rng):
+    """Associated matrix of a unitary after the involution exchanging 0 and alpha."""
+    aut = BallAutomorphism(ball_point(n, rng, 0.1, 0.8), random_unitary(n, rng))
+    return automorphism_to_lfmap(aut).associated_matrix()
+
+
+def siegel_conjugate(t, rng):
+    """A ball map conjugate, by the Cayley transform and then a random ball
+    automorphism, to the Siegel half-space map Im w1 > |w'|^2 with matrix t."""
+    n = t.shape[0] - 1
+    cayley = np.eye(n + 1, dtype=np.complex128)
+    cayley[0, 0] = cayley[0, n] = 1j
+    cayley[n, 0] = -1.0
+    aut = random_automorphism_matrix(n, rng)
+    return coefficient_map(aut @ np.linalg.solve(cayley, t @ cayley) @ np.linalg.inv(aut))
+
+
+def interior_selfmap(n, rng):
+    """psi o L o psi with psi a ball involution and L a linear strict contraction."""
+    psi = involution_map(ball_point(n, rng, 0.05, 0.85))
+    lin = random_unitary(n, rng) @ np.diag(rng.uniform(0.1, 0.9, n)) @ random_unitary(n, rng)
+    return compose(psi, compose(LFMap(lin, np.zeros(n), np.zeros(n), 1.0), psi))
 
 
 def test_worked_rows(worked_map):
@@ -98,6 +144,21 @@ def test_row_test_is_one_sided():
     assert report.classification == CLASS_NOT_SELFMAP
 
 
+def test_row_test_rejects_a_true_selfmap():
+    # an affine self-map (sup sqrt(5/6)) whose first row exceeds the bound:
+    # the row test is not a necessary condition either
+    phi = LFMap([[-0.5, -0.5], [-0.25, 0.25]], [0.0, 0.5], [0.0, 0.0], 1.0)
+    sup, ok = oracle_is_selfmap(phi)
+    assert abs(sup - np.sqrt(5.0 / 6.0)) < 1e-12 and ok
+    lhs, rhs, verdicts = row_criterion(phi)
+    assert abs(lhs[0] / rhs - 1.25) < 1e-12
+    assert verdicts.tolist() == [False, True]
+    report = check(phi)
+    assert not report.criterion_selfmap and report.oracle_selfmap
+    assert report.discrepancy_flag
+    assert report.krein_t is not None
+
+
 def test_axis_translation_is_rejected_by_one_row():
     phi = LFMap(np.eye(2), [1.0, 0.0], [0.0, 0.0], 1.0)
     report = check(phi)
@@ -130,6 +191,63 @@ def test_krein_certificate_is_psd(worked_map):
     pencil = j - t * t * (m.conj().T @ j @ m)
     worst = np.linalg.eigvalsh((pencil + pencil.conj().T) / 2.0)[0]
     assert worst >= -1e-8
+
+
+@pytest.mark.parametrize("base", ["worked", "interior"])
+def test_krein_is_scale_invariant(base, worked_map):
+    # a map and any multiple of its coefficients are the same map
+    if base == "worked":
+        phi = worked_map
+    else:
+        phi = interior_selfmap(8, np.random.default_rng(54))
+    m = phi.associated_matrix()
+    verdicts, scaled_t = set(), []
+    for scale in (1e-12, 1e-8, 1e-4, 1.0, 1e4, 1e8, 1e12):
+        scaled = coefficient_map(m * scale)
+        report = check(scaled)
+        verdicts.add(
+            (
+                report.criterion_selfmap,
+                report.oracle_selfmap,
+                report.classification,
+                report.krein_t is not None,
+            )
+        )
+        assert report.krein_t is not None
+        assert krein_min_eig(scaled, report.krein_t) >= -1e-9
+        scaled_t.append(report.krein_t * scale)
+    assert len(verdicts) == 1
+    np.testing.assert_allclose(scaled_t, scaled_t[3], rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_krein_certificate_at_boundary_contact(n):
+    # the feasible set shrinks to one point; mu is defective when parabolic
+    rng = np.random.default_rng([55, n])
+    maps = []
+    for _ in range(3):
+        translate = np.eye(n + 1, dtype=np.complex128)
+        translate[0, n] = rng.uniform(-1.0, 1.0) + 1j * rng.uniform(0.0, 2.0)
+        maps.append(siegel_conjugate(translate, rng))
+        lam = rng.uniform(1.3, 4.0)
+        dilate = np.eye(n + 1, dtype=np.complex128)
+        dilate[0, 0] = lam
+        dilate[1:n, 1:n] = random_unitary(n - 1, rng) * (np.sqrt(lam) * rng.uniform(0.3, 1.0))
+        maps.append(siegel_conjugate(dilate, rng))
+    for phi in maps:
+        sup, ok = oracle_is_selfmap(phi)
+        assert abs(sup - 1.0) < 1e-9 and ok
+        t = krein_check(phi)
+        assert t is not None
+        assert krein_min_eig(phi, t) >= -1e-9
+    for _ in range(3):
+        phi = interior_selfmap(n, rng)
+        t = krein_check(phi)
+        assert t is not None
+        worst = krein_min_eig(phi, t)
+        assert worst >= -1e-9
+        assert worst >= krein_min_eig(phi, t * (1.0 + 1e-4))
+        assert worst >= krein_min_eig(phi, t * (1.0 - 1e-4))
 
 
 def test_oracle_frozen_cases(worked_map):
@@ -232,7 +350,7 @@ def test_agreement_table_deterministic_and_sound():
     s = table["summary"]
     assert s["agree"] + s["disagree"] == 40
     assert s["both_true"] + s["both_false"] + s["criterion_only"] + s["oracle_only"] == 40
-    # the row test is necessary: a verified self-map never fails it
+    # no map of this ensemble passes the oracle and fails a row
     assert s["oracle_only"] == 0
     assert [r["dim"] for r in table["rows"][:4]] == [1, 2, 3, 4]
     for r in table["rows"]:
