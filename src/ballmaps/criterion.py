@@ -9,9 +9,12 @@ Three routes are implemented and cross-checked rather than collapsed:
   with J - t^2 m* J m positive semidefinite, J = diag(I, -1).
 
 Agreement between the row test and the oracle is measured, never
-assumed.  Classification of verified self-maps follows the orbit of the
-origin, accelerated by repeated squaring of the associated matrix so
-that slowly attracting boundary fixed points are resolved sharply.
+assumed.  Classification of verified self-maps reads the fixed point off
+the eigenstructure of the associated matrix m: a fixed point p in the
+closed ball is an eigenvector (p, 1) of m with J-form |p|^2 - 1 <= 0, for
+the eigenvalue of largest modulus.  The Denjoy-Wolff point of a map with
+no interior fixed point is the isotropic one (Cowen and MacCluer 2000;
+Bisi and Bracci 2002).
 """
 
 from __future__ import annotations
@@ -37,6 +40,15 @@ KREIN_PSD_TOL = 1e-10
 # krein_check narrows the bracket of its maximiser to this relative width.
 _KREIN_ARGMAX_RTOL = 1e-11
 SAMPLE_CHUNK = 4096
+# classify_fixed_point, for unit vectors: a J-form above _FORM_TOL lies
+# clearly outside the ball; eigenvectors within _PARALLEL_TOL of parallel
+# (1 - |cos|) share a defective eigenvalue; singular values below _NULL_RTOL
+# (relative) span a null space; a J-form within _ISOTROPIC_TOL of 0 is a
+# boundary point's (rounding moves an eigenvector as eigenvalues near).
+_FORM_TOL = 1e-3
+_PARALLEL_TOL = 1e-3
+_NULL_RTOL = 1e-8
+_ISOTROPIC_TOL = 1e-6
 
 CLASS_INTERIOR = "interior_fixed_point"
 CLASS_BOUNDARY = "boundary_denjoy_wolff"
@@ -50,7 +62,8 @@ class CriterionReport:
     row_lhs and rhs are stated at the scale of the unnormalized
     coefficients, where rhs = (|d|^2 - |c|^2)^2.  classification is one
     of interior_fixed_point, boundary_denjoy_wolff, not_selfmap, and
-    fixed_point carries the orbit limit when one was computed.
+    fixed_point carries the interior fixed point or the Denjoy-Wolff
+    point of a self-map (None otherwise).
     discrepancy_flag records row-test vs oracle disagreement.
     """
 
@@ -89,11 +102,17 @@ def row_criterion(
     """
     if not phi.pole_free_on_ball:
         raise PoleError("row criterion needs a pole-free map")
-    scale = (abs(phi.d) ** 2 - float(np.linalg.norm(phi.c)) ** 2) ** 2
     if float(np.linalg.norm(phi.c)) == 0.0:
+        scale = (abs(phi.d) ** 2 - float(np.linalg.norm(phi.c)) ** 2) ** 2
         lhs, verdicts = linear_criterion(phi, rel_tol=rel_tol)
         return lhs * scale, float(scale), verdicts
-    ell = image_ellipsoid(phi)
+    return _ellipsoid_rows(phi, image_ellipsoid(phi), rel_tol)
+
+
+def _ellipsoid_rows(phi: LFMap, ell: EllipsoidImage, rel_tol: float):
+    """row_criterion from the image ellipsoid; for c = 0 (center b/d,
+    shape a/d) the rows equal linear_criterion's bit for bit."""
+    scale = (abs(phi.d) ** 2 - float(np.linalg.norm(phi.c)) ** 2) ** 2
     center = ell.center
     rows = np.conj(ell.shape)
     c2 = float(np.vdot(center, center).real)
@@ -290,8 +309,8 @@ def _origin_orbit(phi: LFMap, max_doublings: int = 100):
 
     Returns (converged, point) where point is the limit when the step
     between successive iterates fell below 1e-12, else the last iterate.
-    Squaring reaches iterate counts far beyond what stepwise evaluation
-    could, which pins down slowly attracting boundary limits.
+    classify_fixed_point falls back on it only for strict contractions
+    (sup < 1), where the orbit converges geometrically.
     """
     n = phi.dim
     m = phi.associated_matrix()
@@ -309,77 +328,6 @@ def _origin_orbit(phi: LFMap, max_doublings: int = 100):
         m = m @ m
         m = m / np.max(np.abs(m))
     return False, point if point is not None else np.zeros(n, dtype=np.complex128)
-
-
-def _charpoly(m: np.ndarray) -> np.ndarray:
-    """Characteristic polynomial coefficients, leading first.
-
-    Faddeev-LeVerrier recurrence; unlike root-finding from computed
-    eigenvalues this keeps exact coefficients for exactly represented
-    matrices, which is what makes multiple-eigenvalue polishing work.
-    """
-    k = m.shape[0]
-    coeffs = np.empty(k + 1, dtype=np.complex128)
-    coeffs[0] = 1.0
-    work = np.zeros_like(m)
-    for i in range(1, k + 1):
-        work = m @ (work + coeffs[i - 1] * np.eye(k))
-        coeffs[i] = -np.trace(work) / i
-    return coeffs
-
-
-def _refine_boundary_point(phi: LFMap, approx: np.ndarray) -> np.ndarray:
-    """Sharpen a boundary fixed point found by iteration.
-
-    The point solves m (p, 1) = lam (p, 1) with lam the denominator at
-    p.  Plain eigensolvers lose half the digits when lam is defective
-    (the parabolic case), so instead: cluster the computed eigenvalues
-    around the iterate's lam, polish lam as a root of the (k-1)-th
-    derivative of the characteristic polynomial (a simple root there,
-    hence well conditioned), then project the homogeneous iterate onto
-    the small-singular-value subspace of m - lam I.  Falls back to the
-    unrefined point whenever a step looks unreliable.
-    """
-    n = phi.dim
-    m = phi.associated_matrix()
-    mx = float(np.max(np.abs(m)))
-    m = m / mx
-    lam0 = (np.vdot(phi.c, approx) + phi.d) / mx
-    eigs = np.linalg.eigvals(m)
-    scale = max(1.0, float(np.max(np.abs(eigs))))
-    cluster = eigs[np.abs(eigs - lam0) <= 1e-3 * scale]
-    k = max(1, cluster.size)
-    poly = np.polynomial.Polynomial(_charpoly(m)[::-1])
-    for _ in range(k - 1):
-        poly = poly.deriv()
-    dpoly = poly.deriv()
-    lam = complex(np.mean(cluster)) if cluster.size else complex(lam0)
-    for _ in range(60):
-        slope = dpoly(lam)
-        if abs(slope) < 1e-300:
-            break
-        step = poly(lam) / slope
-        lam -= step
-        if abs(step) < 1e-15 * max(1.0, abs(lam)):
-            break
-    if abs(lam - lam0) > 1e-2 * scale:
-        lam = complex(lam0)
-    _, sing, vh = np.linalg.svd(m - lam * np.eye(n + 1))
-    keep = sing <= max(1e-6 * scale, sing[-1] * (1.0 + 1e-12))
-    basis = vh[keep, :].conj().T
-    hom = np.append(approx, 1.0)
-    v = basis @ (basis.conj().T @ hom)
-    if abs(v[n]) < 1e-6 * np.linalg.norm(v):
-        return approx
-    candidate = v[:n] / v[n]
-    if np.linalg.norm(candidate - approx) > 1e-3 * (1.0 + np.linalg.norm(approx)):
-        return approx
-    try:
-        old = float(np.linalg.norm(evaluate(phi, approx) - approx))
-        new = float(np.linalg.norm(evaluate(phi, candidate) - candidate))
-    except PoleError:
-        return approx
-    return candidate if new <= max(old, 1e-12) else approx
 
 
 def _interior_fixed_point(phi: LFMap, tol: float) -> np.ndarray | None:
@@ -409,19 +357,56 @@ def _interior_fixed_point(phi: LFMap, tol: float) -> np.ndarray | None:
     return best
 
 
+def _least_form(basis: np.ndarray, jd: np.ndarray) -> tuple[float, np.ndarray]:
+    """The least J-form x* J x over unit x in the span of orthonormal
+    columns, and the x attaining it."""
+    gram = basis.conj().T @ (jd[:, None] * basis)
+    if gram.shape[0] == 1:
+        return float(gram[0, 0].real), basis[:, 0]
+    vals, vecs = np.linalg.eigh(gram)
+    return float(vals[0]), basis @ vecs[:, 0]
+
+
+def _nonpositive_eigenvector(m: np.ndarray, jd: np.ndarray):
+    """(form, x, lam): the unit x of least J-form in the eigenspace (the
+    near-null space of m - lam I) of the first eigenvalue lam to reach
+    form <= _ISOTROPIC_TOL, else of least form.  Eigenvalues with a
+    computed eigenvector of form <= _FORM_TOL go first, each group by
+    decreasing modulus (a later isotropic one is a repelling point).  A
+    defective eigenvalue splits into computed ones with nearly parallel
+    eigenvectors, whose mean is exact to rounding."""
+    size = m.shape[0]
+    w, vec = np.linalg.eig(m)
+    form = jd @ np.abs(vec) ** 2
+    best = None
+    for i in np.lexsort((-np.abs(w), form > _FORM_TOL)):
+        group = np.abs(vec.conj().T @ vec[:, i]) >= 1.0 - _PARALLEL_TOL
+        lam = complex(np.mean(w[group]))
+        _, sing, vh = np.linalg.svd(m - lam * np.eye(size))
+        least, x = _least_form(vh[sing <= max(_NULL_RTOL * sing[0], sing[-1])].conj().T, jd)
+        if best is None or least < best[0]:
+            best = (least, x, lam)
+        if least <= _ISOTROPIC_TOL:
+            break
+    return best
+
+
 def classify_fixed_point(
     phi: LFMap, oracle_sup: float, tol: float = ORACLE_TOL
 ) -> tuple[str, np.ndarray | None]:
     """Classify a verified self-map and locate the relevant fixed point.
 
     A sup norm strictly below 1 keeps the image compactly inside the
-    ball, forcing an interior fixed point.  At boundary contact the
-    orbit of 0 decides: convergence to an interior point classifies as
-    interior; otherwise the orbit limit is the attracting boundary
-    point and is reported.  Interior fixed points are read off the
-    eigenvectors of the associated matrix rather than the orbit, since
-    periodic orbits (an involution, say) stall at points that are not
-    fixed.
+    ball, forcing an interior fixed point, read off the eigenvectors of
+    the associated matrix m.  At boundary contact the fixed point (p, 1)
+    is the eigenvector of m (normalised by max|m|) with J-form |p|^2 - 1
+    <= 0 for the eigenvalue lam of largest modulus: interior, of least
+    norm in the eigenspace, if its form is below -_ISOTROPIC_TOL (z ->
+    (z1, z2/2) fixes a disc), else the isotropic Denjoy-Wolff point.  When
+    J - H / |lam|^2, H = m* J m, is positive semidefinite (parabolic maps
+    other than automorphisms), the point is read off its kernel, which
+    stays well apart from the rest of the spectrum even where an
+    eigenvalue of m lies close to lam.
     """
     if oracle_sup > 1.0 + tol:
         return CLASS_NOT_SELFMAP, None
@@ -430,11 +415,25 @@ def classify_fixed_point(
         if found is not None:
             return CLASS_INTERIOR, found
         return CLASS_INTERIOR, _origin_orbit(phi)[1]
-    converged, point = _origin_orbit(phi)
-    if converged and float(np.linalg.norm(point)) < 1.0 - tol:
-        found = _interior_fixed_point(phi, tol)
-        return CLASS_INTERIOR, found if found is not None else point
-    return CLASS_BOUNDARY, _refine_boundary_point(phi, point)
+    n = phi.dim
+    m = phi.associated_matrix()
+    m = m / np.max(np.abs(m))
+    jd = np.ones(n + 1)
+    jd[n] = -1.0
+    least, x, lam = _nonpositive_eigenvector(m, jd)
+    if least < -_ISOTROPIC_TOL:
+        return CLASS_INTERIOR, x[:n] / x[n]
+    g = np.diag(jd) - (m.conj().T * jd) @ m / abs(lam) ** 2
+    vals, vecs = np.linalg.eigh((g + g.conj().T) / 2.0)
+    floor = _NULL_RTOL * max(1.0, float(vals[-1]))
+    kernel = vals <= floor
+    if vals[0] >= -floor and not np.all(kernel):
+        # Two isotropic vectors here (a nearly parabolic hyperbolic map)
+        # would give a negative least form; keep the eigenvector then.
+        least, y = _least_form(vecs[:, kernel], jd)
+        if least >= -_ISOTROPIC_TOL:
+            x = y
+    return CLASS_BOUNDARY, x[:n] / x[n]
 
 
 def check(
@@ -444,9 +443,13 @@ def check(
     krein_psd_tol: float = KREIN_PSD_TOL,
 ) -> CriterionReport:
     """Run every self-map test on one pole-free map and bundle the results."""
-    row_lhs, rhs, row_ok = row_criterion(phi, rel_tol=row_rel_tol)
+    if not phi.pole_free_on_ball:
+        raise PoleError("row criterion needs a pole-free map")
+    ell = image_ellipsoid(phi)  # shared by the row test and the oracle
+    row_lhs, rhs, row_ok = _ellipsoid_rows(phi, ell, row_rel_tol)
     criterion_selfmap = bool(np.all(row_ok))
-    oracle_sup, oracle_ok = oracle_is_selfmap(phi, tol=oracle_tol)
+    oracle_sup = ellipsoid_sup_norm(ell)
+    oracle_ok = bool(oracle_sup <= 1.0 + oracle_tol)
     krein_t = krein_check(phi, psd_tol=krein_psd_tol)
     classification, point = classify_fixed_point(phi, oracle_sup, tol=oracle_tol)
     return CriterionReport(

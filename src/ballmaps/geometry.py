@@ -82,10 +82,6 @@ class BallAutomorphism:
         return self.rotation @ ball_involution(self.alpha, z)
 
 
-def automorphism_eval(aut: BallAutomorphism, z) -> np.ndarray:
-    return aut(z)
-
-
 def involution_matrix(alpha) -> np.ndarray:
     """Linear part of the involution numerator: s*beta - s*I - beta.
 

@@ -99,10 +99,6 @@ def make_lfmap(a, b, c, d) -> LFMap:
     return LFMap(a, b, c, d)
 
 
-def associated_matrix(phi: LFMap) -> np.ndarray:
-    return phi.associated_matrix()
-
-
 def from_associated_matrix(m) -> LFMap:
     """Rebuild a map from its associated matrix.
 

@@ -65,13 +65,19 @@ def random_automorphism_matrix(n, rng):
 
 def siegel_conjugate(t, rng):
     """A ball map conjugate, by the Cayley transform and then a random ball
-    automorphism, to the Siegel half-space map Im w1 > |w'|^2 with matrix t."""
+    automorphism A, to the Siegel half-space map Im w1 > |w'|^2 with matrix t.
+
+    Returns the map and A(e1), the image of the point at infinity of the
+    half-space: the Denjoy-Wolff point when t fixes infinity and attracts.
+    """
     n = t.shape[0] - 1
     cayley = np.eye(n + 1, dtype=np.complex128)
     cayley[0, 0] = cayley[0, n] = 1j
     cayley[n, 0] = -1.0
     aut = random_automorphism_matrix(n, rng)
-    return coefficient_map(aut @ np.linalg.solve(cayley, t @ cayley) @ np.linalg.inv(aut))
+    phi = coefficient_map(aut @ np.linalg.solve(cayley, t @ cayley) @ np.linalg.inv(aut))
+    e1 = aut[:, 0] + aut[:, n]
+    return phi, e1[:n] / e1[n]
 
 
 def interior_selfmap(n, rng):
@@ -201,7 +207,7 @@ def test_krein_is_scale_invariant(base, worked_map):
     else:
         phi = interior_selfmap(8, np.random.default_rng(54))
     m = phi.associated_matrix()
-    verdicts, scaled_t = set(), []
+    verdicts, scaled_t, points = set(), [], []
     for scale in (1e-12, 1e-8, 1e-4, 1.0, 1e4, 1e8, 1e12):
         scaled = coefficient_map(m * scale)
         report = check(scaled)
@@ -216,8 +222,12 @@ def test_krein_is_scale_invariant(base, worked_map):
         assert report.krein_t is not None
         assert krein_min_eig(scaled, report.krein_t) >= -1e-9
         scaled_t.append(report.krein_t * scale)
+        points.append(report.fixed_point)
     assert len(verdicts) == 1
     np.testing.assert_allclose(scaled_t, scaled_t[3], rtol=1e-9, atol=0.0)
+    np.testing.assert_allclose(points, [points[3]] * len(points), rtol=0.0, atol=1e-9)
+    if base == "worked":
+        np.testing.assert_allclose(points[3], [1.0, 0.0], rtol=0.0, atol=1e-9)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -228,12 +238,12 @@ def test_krein_certificate_at_boundary_contact(n):
     for _ in range(3):
         translate = np.eye(n + 1, dtype=np.complex128)
         translate[0, n] = rng.uniform(-1.0, 1.0) + 1j * rng.uniform(0.0, 2.0)
-        maps.append(siegel_conjugate(translate, rng))
+        maps.append(siegel_conjugate(translate, rng)[0])
         lam = rng.uniform(1.3, 4.0)
         dilate = np.eye(n + 1, dtype=np.complex128)
         dilate[0, 0] = lam
         dilate[1:n, 1:n] = random_unitary(n - 1, rng) * (np.sqrt(lam) * rng.uniform(0.3, 1.0))
-        maps.append(siegel_conjugate(dilate, rng))
+        maps.append(siegel_conjugate(dilate, rng)[0])
     for phi in maps:
         sup, ok = oracle_is_selfmap(phi)
         assert abs(sup - 1.0) < 1e-9 and ok
@@ -315,6 +325,108 @@ def test_classify_hyperbolic_boundary_attractor():
     report = check(LFMap(np.eye(1), [-0.5], [-0.5], 1.0))
     assert report.classification == CLASS_BOUNDARY
     np.testing.assert_allclose(report.fixed_point, [-1.0], atol=1e-9)
+
+
+def siegel_translation(n, shift):
+    t = np.eye(n + 1, dtype=np.complex128)
+    t[0, n] = shift
+    return t
+
+
+def rotation_with_angle(k, rng, angle):
+    """A unitary of C^k with eigen-angle `angle` and k - 1 random others."""
+    angles = rng.uniform(0.05, 2.0 * np.pi - 0.05, k)
+    angles[0] = angle
+    u = random_unitary(k, rng)
+    return (u * np.exp(1j * angles)) @ u.conj().T
+
+
+def siegel_boundary_map(kind, n, rng):
+    """Matrix of a Siegel half-space self-map that fixes infinity and
+    attracts to it, so that its ball conjugate has Denjoy-Wolff point A(e1).
+
+    Parabolic maps translate w1 by a + i s, s > 0 (an automorphism when
+    s = 0), then rotate w'; "rotation_<angle>" gives that rotation an
+    eigen-angle close to 0, so an eigenvalue of m close to the Denjoy-Wolff
+    one.  A Heisenberg translation (w1 + 2i<w', a> + i|a|^2 + i s, w' + a)
+    makes the Denjoy-Wolff eigenvalue a Jordan block of size 3.  Hyperbolic
+    maps dilate w1 by lam > 1 and w' by at most sqrt(lam), exactly
+    sqrt(lam) for an automorphism.
+    """
+    shift = rng.uniform(-1.0, 1.0) + 1j * rng.uniform(0.2, 2.0)
+    t = siegel_translation(n, shift)
+    if kind == "pure_translation":
+        return t
+    if kind.startswith("rotation_"):
+        t[1:n, 1:n] = rotation_with_angle(n - 1, rng, float(kind.split("_")[1]))
+        return t
+    if kind == "parabolic_automorphism":
+        t[0, n] = shift.real
+        t[1:n, 1:n] = random_unitary(n - 1, rng)
+        return t
+    if kind == "heisenberg":
+        a = ball_point(n - 1, rng, 0.2, 1.0)
+        t[0, 1:n] = 2j * a.conj()
+        t[0, n] += 1j * float(np.vdot(a, a).real)
+        t[1:n, n] = a
+        return t
+    lam = rng.uniform(1.3, 4.0)
+    t = np.eye(n + 1, dtype=np.complex128)
+    t[0, 0] = lam
+    stretch = 1.0 if kind == "hyperbolic_automorphism" else rng.uniform(0.3, 0.9)
+    t[1:n, 1:n] = random_unitary(n - 1, rng) * (np.sqrt(lam) * stretch)
+    return t
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        "pure_translation",
+        "rotation_1e-2",
+        "rotation_1e-4",
+        "rotation_1e-7",
+        "heisenberg",
+        "hyperbolic",
+        "parabolic_automorphism",
+        "hyperbolic_automorphism",
+    ],
+)
+@pytest.mark.parametrize("n", range(2, 9))
+def test_denjoy_wolff_point_matches_construction(kind, n):
+    rng = np.random.default_rng([57, n, len(kind)])
+    for _ in range(2):
+        phi, expected = siegel_conjugate(siegel_boundary_map(kind, n, rng), rng)
+        report = check(phi)
+        assert report.classification == CLASS_BOUNDARY
+        np.testing.assert_allclose(report.fixed_point, expected, rtol=0.0, atol=1e-9)
+
+
+def test_classify_map_fixing_a_disc():
+    report = check(LFMap(np.diag([1.0, 0.5]), [0.0, 0.0], [0.0, 0.0], 1.0))
+    assert abs(report.oracle_sup - 1.0) < 1e-12
+    assert report.classification == CLASS_INTERIOR
+    np.testing.assert_allclose(report.fixed_point, [0.0, 0.0], atol=1e-12)
+
+
+def test_classify_conjugated_maps_with_interior_fixed_points_at_contact():
+    # conjugates of z -> (z1, z2/2, ...) (a fixed disc) and of rotations
+    # fixing 0 and e1: sup 1, and eigenvectors that eig may return for the
+    # repeated eigenvalue can all lie outside the ball
+    rng = np.random.default_rng(58)
+    for k in range(24):
+        n = 2 + k % 4
+        aut = random_automorphism_matrix(n, rng)
+        diag = np.ones(n + 1, dtype=np.complex128)
+        if k % 2:
+            diag[1:n] = rng.uniform(0.1, 0.9, n - 1)
+        else:
+            diag[1:n] = np.exp(1j * rng.uniform(0.1, 6.0, n - 1))
+        phi = coefficient_map(aut @ np.diag(diag) @ np.linalg.inv(aut))
+        report = check(phi)
+        assert report.classification == CLASS_INTERIOR
+        p = np.array(report.fixed_point)
+        assert np.linalg.norm(p) < 1.0
+        np.testing.assert_allclose(phi(p), p, rtol=0.0, atol=1e-9)
 
 
 def test_classify_expansion():
