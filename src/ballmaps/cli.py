@@ -367,10 +367,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        sys.stderr.write(serialize({"error": "malformed_input", "detail": str(exc)}) + "\n")
-        return 2
-    except (ShapeError, ContractViolation) as exc:
+    except (InputError, ShapeError, ContractViolation) as exc:
         sys.stderr.write(serialize({"error": "malformed_input", "detail": str(exc)}) + "\n")
         return 2
     except PoleError as exc:

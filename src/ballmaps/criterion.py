@@ -24,30 +24,35 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import linalg
-from .errors import ContractViolation, PoleError
+from .errors import PoleError
 from .geometry import (
     EllipsoidImage,
     ellipsoid_sup_norm,
     image_ellipsoid,
     involution_matrix,
 )
-from .lfm import LFMap, evaluate, evaluate_batch, from_associated_matrix
+from .lfm import LFMap, evaluate_batch, from_associated_matrix
 
 ROW_REL_TOL = 1e-10
 ORACLE_TOL = 1e-9
 KREIN_PSD_TOL = 1e-10
-# krein_check narrows the bracket of its maximiser to this relative width.
+# krein_check narrows the bracket of its maximiser to this relative width,
+# and doubles s at most this many times past the last candidate.
 _KREIN_ARGMAX_RTOL = 1e-11
+_KREIN_MAX_DOUBLINGS = 64
 SAMPLE_CHUNK = 4096
 # classify_fixed_point, for unit vectors: a J-form above _FORM_TOL lies
-# clearly outside the ball; eigenvectors within _PARALLEL_TOL of parallel
-# (1 - |cos|) share a defective eigenvalue; singular values below _NULL_RTOL
+# clearly outside the ball; eigenvalues within _CLUSTER_RTOL (relative) of
+# each other whose eigenvectors are within _PARALLEL_TOL of parallel
+# (1 - |cos|) share a defective eigenvalue if their mean leaves m - lam I
+# singular to _MEAN_RTOL (relative); singular values below _NULL_RTOL
 # (relative) span a null space; a J-form within _ISOTROPIC_TOL of 0 is a
 # boundary point's (rounding moves an eigenvector as eigenvalues near).
 _FORM_TOL = 1e-3
+_CLUSTER_RTOL = 1e-4
 _PARALLEL_TOL = 1e-3
 _NULL_RTOL = 1e-8
+_MEAN_RTOL = 1e-12
 _ISOTROPIC_TOL = 1e-6
 
 CLASS_INTERIOR = "interior_fixed_point"
@@ -102,16 +107,13 @@ def row_criterion(
     """
     if not phi.pole_free_on_ball:
         raise PoleError("row criterion needs a pole-free map")
-    if float(np.linalg.norm(phi.c)) == 0.0:
-        scale = (abs(phi.d) ** 2 - float(np.linalg.norm(phi.c)) ** 2) ** 2
-        lhs, verdicts = linear_criterion(phi, rel_tol=rel_tol)
-        return lhs * scale, float(scale), verdicts
     return _ellipsoid_rows(phi, image_ellipsoid(phi), rel_tol)
 
 
 def _ellipsoid_rows(phi: LFMap, ell: EllipsoidImage, rel_tol: float):
-    """row_criterion from the image ellipsoid; for c = 0 (center b/d,
-    shape a/d) the rows equal linear_criterion's bit for bit."""
+    """row_criterion on the given image ellipsoid of phi, which check()
+    shares with the oracle.  For an affine map (c = 0) the ellipsoid has
+    center b/d and shape a/d, and rhs = |d|^4."""
     scale = (abs(phi.d) ** 2 - float(np.linalg.norm(phi.c)) ** 2) ** 2
     center = ell.center
     rows = np.conj(ell.shape)
@@ -122,23 +124,6 @@ def _ellipsoid_rows(phi: LFMap, ell: EllipsoidImage, rel_tol: float):
         lhs[i] = c2 + float(np.vdot(r, r).real) - 2.0 * float(np.vdot(r, center).real)
     verdicts = lhs <= 1.0 + rel_tol
     return lhs * scale, float(scale), verdicts
-
-
-def linear_criterion(phi: LFMap, rel_tol: float = ROW_REL_TOL):
-    """Row test specialized to affine maps (c = 0), at denominator 1.
-
-    Returns (row_lhs, verdicts) with the bound at 1.
-    """
-    if float(np.linalg.norm(phi.c)) != 0.0:
-        raise ContractViolation("linear criterion needs c = 0")
-    a = phi.a / phi.d
-    b = phi.b / phi.d
-    b2 = float(np.vdot(b, b).real)
-    lhs = np.empty(phi.dim)
-    for i in range(phi.dim):
-        r = np.conj(a[i, :])
-        lhs[i] = b2 + float(np.vdot(r, r).real) - 2.0 * float(np.vdot(r, b).real)
-    return lhs, lhs <= 1.0 + rel_tol
 
 
 class _PencilPoint(NamedTuple):
@@ -228,8 +213,16 @@ def krein_check(phi: LFMap, psd_tol: float = KREIN_PSD_TOL) -> float | None:
             first = k + 1
         else:
             last = k - 1
-    while hi is None:
+    # Past the last candidate f can only rise by rounding: H is exact only
+    # to about (n + 1) eps, and a map near the sphere can lose a candidate
+    # to it.  Double s while the slope stands above that, a bounded number
+    # of times, and keep the last point if it never turns.
+    for _ in range(_KREIN_MAX_DOUBLINGS):
+        if hi is not None or lo.slope <= (n + 1) * np.finfo(float).eps:
+            break
         lo, hi = _narrow(lo, hi, _pencil_point(j, h, 2.0 * lo.s))
+    if hi is None:
+        hi = lo
     widths = [np.inf, np.inf, hi.s - lo.s]
     step = hi.s - lo.s
     while hi.s - lo.s > _KREIN_ARGMAX_RTOL * hi.s:
@@ -263,44 +256,36 @@ def oracle_is_selfmap(phi: LFMap, tol: float = ORACLE_TOL) -> tuple[float, bool]
     return sup, bool(sup <= 1.0 + tol)
 
 
-def sphere_points(count: int, dim: int, seed: int) -> np.ndarray:
-    """Uniform points on the unit sphere of C^dim, deterministic per seed.
+def _sphere_chunks(count: int, dim: int, seed: int):
+    """Uniform points on the unit sphere of C^dim, SAMPLE_CHUNK at a time.
 
-    Samples are drawn in fixed-size chunks, each from its own seeded
-    substream, so the result does not depend on how chunks are executed.
+    Each chunk comes from its own seeded substream, so the points do not
+    depend on how the chunks are consumed.
     """
     base = int(seed) % 2**63
-    out = np.empty((count, dim), dtype=np.complex128)
-    done = 0
-    chunk_index = 0
-    while done < count:
+    for chunk_index, done in enumerate(range(0, count, SAMPLE_CHUNK)):
         rng = np.random.default_rng([base, chunk_index])
         g = rng.standard_normal((SAMPLE_CHUNK, 2 * dim))
         z = g[:, ::2] + 1j * g[:, 1::2]
         z /= np.linalg.norm(z, axis=1)[:, None]
-        take = min(SAMPLE_CHUNK, count - done)
-        out[done : done + take] = z[:take]
-        done += take
-        chunk_index += 1
+        yield z[: min(SAMPLE_CHUNK, count - done)]
+
+
+def sphere_points(count: int, dim: int, seed: int) -> np.ndarray:
+    """Uniform points on the unit sphere of C^dim, deterministic per seed."""
+    out = np.empty((count, dim), dtype=np.complex128)
+    for k, z in enumerate(_sphere_chunks(count, dim, seed)):
+        out[k * SAMPLE_CHUNK : k * SAMPLE_CHUNK + len(z)] = z
     return out
 
 
 def monte_carlo_sup(phi: LFMap, count: int, seed: int) -> float:
-    """Largest |phi(z)| over uniformly sampled boundary points."""
+    """Largest |phi(z)| over the points of sphere_points(count, N, seed),
+    evaluated a chunk at a time."""
     best = 0.0
-    done = 0
-    chunk_index = 0
-    base = int(seed) % 2**63
-    while done < count:
-        rng = np.random.default_rng([base, chunk_index])
-        g = rng.standard_normal((SAMPLE_CHUNK, 2 * phi.dim))
-        z = g[:, ::2] + 1j * g[:, 1::2]
-        z /= np.linalg.norm(z, axis=1)[:, None]
-        take = min(SAMPLE_CHUNK, count - done)
-        images = evaluate_batch(phi, z[:take])
+    for z in _sphere_chunks(count, phi.dim, seed):
+        images = evaluate_batch(phi, z)
         best = max(best, float(np.max(np.linalg.norm(images, axis=1))))
-        done += take
-        chunk_index += 1
     return best
 
 
@@ -309,8 +294,9 @@ def _origin_orbit(phi: LFMap, max_doublings: int = 100):
 
     Returns (converged, point) where point is the limit when the step
     between successive iterates fell below 1e-12, else the last iterate.
-    classify_fixed_point falls back on it only for strict contractions
-    (sup < 1), where the orbit converges geometrically.
+    No code in the package calls it (classify_fixed_point reads every
+    fixed point off the eigenvectors of m); it stays defined because
+    benchmark/tracer.py counts its calls by name.
     """
     n = phi.dim
     m = phi.associated_matrix()
@@ -330,33 +316,6 @@ def _origin_orbit(phi: LFMap, max_doublings: int = 100):
     return False, point if point is not None else np.zeros(n, dtype=np.complex128)
 
 
-def _interior_fixed_point(phi: LFMap, tol: float) -> np.ndarray | None:
-    """Fixed point inside the open ball, from eigenvectors of m.
-
-    phi(p) = p exactly when m maps the homogeneous vector (p, 1) to a
-    multiple of itself, so interior fixed points sit among projective
-    eigenvectors with nonzero last component.
-    """
-    n = phi.dim
-    m = phi.associated_matrix()
-    _, vecs = np.linalg.eig(m)
-    best = None
-    best_norm = np.inf
-    for k in range(n + 1):
-        v = vecs[:, k]
-        if abs(v[n]) <= 1e-9 * np.linalg.norm(v):
-            continue
-        p = v[:n] / v[n]
-        pnorm = float(np.linalg.norm(p))
-        if pnorm >= 1.0 - tol:
-            continue
-        if np.linalg.norm(evaluate(phi, p) - p) > 1e-8 * (1.0 + pnorm):
-            continue
-        if pnorm < best_norm:
-            best, best_norm = p, pnorm
-    return best
-
-
 def _least_form(basis: np.ndarray, jd: np.ndarray) -> tuple[float, np.ndarray]:
     """The least J-form x* J x over unit x in the span of orthonormal
     columns, and the x attaining it."""
@@ -373,16 +332,24 @@ def _nonpositive_eigenvector(m: np.ndarray, jd: np.ndarray):
     form <= _ISOTROPIC_TOL, else of least form.  Eigenvalues with a
     computed eigenvector of form <= _FORM_TOL go first, each group by
     decreasing modulus (a later isotropic one is a repelling point).  A
-    defective eigenvalue splits into computed ones with nearly parallel
-    eigenvectors, whose mean is exact to rounding."""
+    defective eigenvalue splits into close computed ones with nearly
+    parallel eigenvectors, whose mean is exact to rounding.  Distinct
+    eigenvalues can look alike (an attracting point near the sphere and
+    its repelling mirror image); their mean leaves m - lam I nonsingular,
+    and each is taken on its own."""
     size = m.shape[0]
     w, vec = np.linalg.eig(m)
     form = jd @ np.abs(vec) ** 2
     best = None
     for i in np.lexsort((-np.abs(w), form > _FORM_TOL)):
-        group = np.abs(vec.conj().T @ vec[:, i]) >= 1.0 - _PARALLEL_TOL
+        group = (np.abs(vec.conj().T @ vec[:, i]) >= 1.0 - _PARALLEL_TOL) & (
+            np.abs(w - w[i]) <= _CLUSTER_RTOL * np.abs(w[i])
+        )
         lam = complex(np.mean(w[group]))
         _, sing, vh = np.linalg.svd(m - lam * np.eye(size))
+        if np.count_nonzero(group) > 1 and sing[-1] > _MEAN_RTOL * sing[0]:
+            lam = complex(w[i])
+            _, sing, vh = np.linalg.svd(m - lam * np.eye(size))
         least, x = _least_form(vh[sing <= max(_NULL_RTOL * sing[0], sing[-1])].conj().T, jd)
         if best is None or least < best[0]:
             best = (least, x, lam)
@@ -396,32 +363,28 @@ def classify_fixed_point(
 ) -> tuple[str, np.ndarray | None]:
     """Classify a verified self-map and locate the relevant fixed point.
 
-    A sup norm strictly below 1 keeps the image compactly inside the
-    ball, forcing an interior fixed point, read off the eigenvectors of
-    the associated matrix m.  At boundary contact the fixed point (p, 1)
-    is the eigenvector of m (normalised by max|m|) with J-form |p|^2 - 1
-    <= 0 for the eigenvalue lam of largest modulus: interior, of least
-    norm in the eigenspace, if its form is below -_ISOTROPIC_TOL (z ->
-    (z1, z2/2) fixes a disc), else the isotropic Denjoy-Wolff point.  When
-    J - H / |lam|^2, H = m* J m, is positive semidefinite (parabolic maps
-    other than automorphisms), the point is read off its kernel, which
-    stays well apart from the rest of the spectrum even where an
-    eigenvalue of m lies close to lam.
+    The fixed point (p, 1) is the eigenvector of the associated matrix m
+    (normalised by max|m|) with J-form |p|^2 - 1 <= 0 for the eigenvalue
+    lam of largest modulus, of least norm in the eigenspace.  A sup norm
+    strictly below 1 keeps the image compactly inside the ball, so the
+    point is interior whatever the rounding of its form (|p|^2 may lie
+    within _ISOTROPIC_TOL of 1).  At boundary contact it is interior if
+    its form is below -_ISOTROPIC_TOL (z -> (z1, z2/2) fixes a disc), else
+    it is the isotropic Denjoy-Wolff point.  When J - H / |lam|^2,
+    H = m* J m, is positive semidefinite (parabolic maps other than
+    automorphisms), the point is read off its kernel, which stays well
+    apart from the rest of the spectrum even where an eigenvalue of m lies
+    close to lam.
     """
     if oracle_sup > 1.0 + tol:
         return CLASS_NOT_SELFMAP, None
-    if oracle_sup < 1.0 - tol:
-        found = _interior_fixed_point(phi, tol)
-        if found is not None:
-            return CLASS_INTERIOR, found
-        return CLASS_INTERIOR, _origin_orbit(phi)[1]
     n = phi.dim
     m = phi.associated_matrix()
     m = m / np.max(np.abs(m))
     jd = np.ones(n + 1)
     jd[n] = -1.0
     least, x, lam = _nonpositive_eigenvector(m, jd)
-    if least < -_ISOTROPIC_TOL:
+    if oracle_sup < 1.0 - tol or least < -_ISOTROPIC_TOL:
         return CLASS_INTERIOR, x[:n] / x[n]
     g = np.diag(jd) - (m.conj().T * jd) @ m / abs(lam) ** 2
     vals, vecs = np.linalg.eigh((g + g.conj().T) / 2.0)

@@ -94,11 +94,6 @@ class LFMap:
         return evaluate(self, z)
 
 
-def make_lfmap(a, b, c, d) -> LFMap:
-    """Validate coefficients and build the map."""
-    return LFMap(a, b, c, d)
-
-
 def from_associated_matrix(m) -> LFMap:
     """Rebuild a map from its associated matrix.
 

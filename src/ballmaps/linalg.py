@@ -13,7 +13,6 @@ import numpy as np
 from .errors import ContractViolation, ShapeError, SingularMatrixError
 
 PIVOT_TOL = 1e-12
-HERMITIAN_TOL = 1e-12
 
 
 def as_vector(entries) -> np.ndarray:
@@ -43,15 +42,6 @@ def as_square_matrix(entries) -> np.ndarray:
     return m
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply shapes {a.shape} and {b.shape}")
-    return a @ b
-
-
 def inverse(a, pivot_tol: float = PIVOT_TOL) -> np.ndarray:
     """Invert a square matrix by Gauss-Jordan elimination with partial pivoting.
 
@@ -76,24 +66,12 @@ def inverse(a, pivot_tol: float = PIVOT_TOL) -> np.ndarray:
         if k != j:
             work[[j, k]] = work[[k, j]]
         work[j] /= work[j, j]
-        for i in range(n):
-            if i != j and work[i, j] != 0:
-                work[i] -= work[i, j] * work[j]
+        # Clear column j from the other rows in one rank-one update; rows
+        # whose factor is 0 are left as they are (signed zeros included).
+        factors = work[:, j, None].copy()
+        factors[j] = 0.0
+        np.subtract(work, factors * work[j], out=work, where=factors != 0)
     return np.ascontiguousarray(work[:, n:])
-
-
-def hermitian_eigenvalues(h, herm_tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, ascending.
-
-    The input must be Hermitian to within ``herm_tol`` entrywise.
-    """
-    h = as_square_matrix(h)
-    defect = float(np.max(np.abs(h - h.conj().T))) if h.size else 0.0
-    if defect > herm_tol:
-        raise ContractViolation(
-            f"matrix is not Hermitian: max |h - h*| = {defect:.3e}"
-        )
-    return np.linalg.eigvalsh((h + h.conj().T) / 2.0)
 
 
 def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -140,6 +140,30 @@ def test_krein_command(capsys, tmp_path, worked_file):
     assert json.loads(out)["t"] is None
 
 
+def test_check_and_krein_on_a_near_sphere_contraction(capsys, tmp_path):
+    # psi_p o (z / 2) o psi_p with p = 1 - 1e-6: a finite Krein scale
+    near = tmp_path / "near.json"
+    near.write_text(
+        json.dumps(
+            {
+                "N": 1,
+                "A": [[[-0.4999980000009999, 0]]],
+                "B": [[0.4999995, 0]],
+                "C": [[-0.4999995, 0]],
+                "D": [0.5000009999995001, 0],
+            }
+        )
+    )
+    code, out, err = run_cli(capsys, ["check", str(near)])
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["classification"] == "interior_fixed_point"
+    assert doc["krein_t"] is not None
+    code, out, err = run_cli(capsys, ["krein", str(near)])
+    assert code == 0 and err == ""
+    assert json.loads(out)["t"] == doc["krein_t"]
+
+
 def test_sample_command_deterministic(capsys, worked_file):
     argv = ["sample", worked_file, "--n", "20000", "--seed", "20260822"]
     code, first, _ = run_cli(capsys, argv)

@@ -5,7 +5,7 @@ import pytest
 
 from ballmaps import (
     BallAutomorphism,
-    ContractViolation,
+    DegenerateMapError,
     LFMap,
     PoleError,
     agreement_table,
@@ -16,7 +16,6 @@ from ballmaps import (
     image_ellipsoid,
     krein_check,
     krein_metric,
-    linear_criterion,
     monte_carlo_sup,
     oracle_is_selfmap,
     row_criterion,
@@ -107,22 +106,34 @@ def test_automorphism_rows_sit_on_the_bound():
         assert bool(np.all(ok))
 
 
-def test_linear_criterion_frozen():
-    lhs, ok = linear_criterion(LFMap.identity(1))
+def test_row_criterion_affine_frozen():
+    # affine maps with d = 1 have rhs = 1: the rows are the plain values
+    lhs, rhs, ok = row_criterion(LFMap.identity(1))
+    assert rhs == 1.0
     np.testing.assert_allclose(lhs, [1.0], atol=1e-15)
     assert ok.tolist() == [True]
 
-    lhs, ok = linear_criterion(LFMap(np.eye(2) / 2, [0.0, 0.0], [0.0, 0.0], 1.0))
+    lhs, rhs, ok = row_criterion(LFMap(np.eye(2) / 2, [0.0, 0.0], [0.0, 0.0], 1.0))
+    assert rhs == 1.0
     np.testing.assert_allclose(lhs, [0.25, 0.25], atol=1e-15)
     assert ok.tolist() == [True, True]
 
     translate = LFMap(np.eye(2), [1.0, 0.0], [0.0, 0.0], 1.0)
-    lhs, ok = linear_criterion(translate)
+    lhs, rhs, ok = row_criterion(translate)
+    assert rhs == 1.0
     np.testing.assert_allclose(lhs, [0.0, 2.0], atol=1e-15)
     assert ok.tolist() == [True, False]
 
-    with pytest.raises(ContractViolation):
-        linear_criterion(LFMap(np.eye(1), [0.0], [0.5], 1.0))
+
+def test_row_criterion_rejects_degenerate_affine_image():
+    # a genuine strict self-map that LFMap accepts (every pivot is O(1)),
+    # but its image ellipsoid a / d has condition number 1e14; the row
+    # test shares the ellipsoid with the oracle and check(), and refuses it
+    # as they do
+    phi = LFMap([[1.0, 1e7], [0.0, 1.0]], [0.0, 0.0], [0.0, 0.0], 1e8)
+    for route in (row_criterion, oracle_is_selfmap, check):
+        with pytest.raises(DegenerateMapError):
+            route(phi)
 
 
 def test_row_criterion_routes_affine_maps():
@@ -230,6 +241,19 @@ def test_krein_is_scale_invariant(base, worked_map):
         np.testing.assert_allclose(points[3], [1.0, 0.0], rtol=0.0, atol=1e-9)
 
 
+def test_krein_near_sphere_contraction_is_finite():
+    # m* J m has a positive eigenvalue of 5e-18 that rounding loses,
+    # so f(s) keeps rising past the last candidate; in 60-digit arithmetic
+    # the maximiser is t = 7.07e5, and t must stay near it
+    phi, _ = near_sphere_contraction(1e-6)
+    t = krein_check(phi)
+    assert t is not None and 7.07e5 / 2.0 < t < 7.07e5 * 2.0
+    scale = float(np.max(np.abs(phi.associated_matrix())))
+    assert krein_min_eig(coefficient_map(phi.associated_matrix() / scale), t * scale) >= -1e-9
+    report = check(phi)
+    assert report.krein_t == t and report.classification == CLASS_INTERIOR
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_krein_certificate_at_boundary_contact(n):
     # the feasible set shrinks to one point; mu is defective when parabolic
@@ -290,6 +314,13 @@ def test_monte_carlo_sup(worked_map):
     assert a == monte_carlo_sup(worked_map, 10_000, seed=3)
 
 
+def test_monte_carlo_sup_is_max_over_sphere_points(worked_map):
+    # 5000 points take two chunks of the shared sampler
+    pts = sphere_points(5000, 2, seed=4)
+    expected = max(float(np.linalg.norm(worked_map(z))) for z in pts)
+    assert monte_carlo_sup(worked_map, 5000, seed=4) == expected
+
+
 def test_monte_carlo_never_exceeds_oracle():
     rng = np.random.default_rng(52)
     for _ in range(10):
@@ -310,6 +341,36 @@ def test_classify_strict_contraction():
     report = check(LFMap(np.eye(2) / 2, [0.0, 0.0], [0.0, 0.0], 1.0))
     assert report.classification == CLASS_INTERIOR
     np.testing.assert_allclose(report.fixed_point, [0.0, 0.0], atol=1e-12)
+
+    # z -> p + (z - p) / 2 with |p|^2 = 1 - 2e-8: sup 1 - 5e-9 < 1 - tol,
+    # so the fixed point is interior although its J-form rounds to 0
+    p = np.array([0.6, 0.8j]) * (1.0 - 1e-8)
+    phi = LFMap(np.eye(2) / 2, p / 2, [0.0, 0.0], 1.0)
+    report = check(phi)
+    assert report.oracle_sup < 1.0 - 1e-9
+    assert report.classification == CLASS_INTERIOR
+    np.testing.assert_allclose(report.fixed_point, p, rtol=0.0, atol=1e-12)
+
+
+def near_sphere_contraction(delta, r=0.5):
+    """psi_p o (r z) o psi_p for the disc involution psi_p(z) = (p - z) /
+    (1 - p z), p = 1 - delta: a strict self-map fixing p."""
+    p = 1.0 - delta
+    return LFMap([[r - p * p]], [p * (1.0 - r)], [-p * (1.0 - r)], 1.0 - p * p * r), p
+
+
+# r = 1 - 5e-5 at p = 0.96: eigenvalues 5e-5 apart with eigenvectors
+# within 1e-3 of parallel, which are distinct and must not be averaged
+@pytest.mark.parametrize(
+    "delta, r",
+    [(1e-2, 0.5), (1e-3, 0.5), (1e-4, 0.5), (1e-5, 0.5), (1e-6, 0.5), (0.04, 1.0 - 5e-5)],
+)
+def test_classify_strict_contraction_near_the_sphere(delta, r):
+    phi, p = near_sphere_contraction(delta, r)
+    report = check(phi)
+    assert report.oracle_sup < 1.0
+    assert report.classification == CLASS_INTERIOR
+    np.testing.assert_allclose(report.fixed_point, [p], rtol=0.0, atol=1e-9)
 
 
 def test_classify_involution_interior_point():
@@ -399,6 +460,19 @@ def test_denjoy_wolff_point_matches_construction(kind, n):
         report = check(phi)
         assert report.classification == CLASS_BOUNDARY
         np.testing.assert_allclose(report.fixed_point, expected, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("ratio", [0.5, 1.0 - 5e-5])
+@pytest.mark.parametrize("theta", [1.0, 0.1, 0.03, 0.01, 1e-3, 1e-4])
+def test_denjoy_wolff_point_with_nearly_parallel_eigenvectors(theta, ratio):
+    # m = T diag(ratio, 1) T^-1, T = [[e^(i theta), 1], [1, 1]]: a disc
+    # automorphism attracted to 1 and repelled from e^(i theta); the two
+    # eigenvectors are nearly parallel, and the eigenvalues distinct even
+    # where they lie within 1e-4 of each other
+    t = np.array([[np.exp(1j * theta), 1.0], [1.0, 1.0]])
+    report = check(coefficient_map(t @ np.diag([ratio, 1.0]) @ np.linalg.inv(t)))
+    assert report.classification == CLASS_BOUNDARY
+    np.testing.assert_allclose(report.fixed_point, [1.0], rtol=0.0, atol=1e-9)
 
 
 def test_classify_map_fixing_a_disc():

@@ -15,7 +15,6 @@ from ballmaps import (
     evaluate_batch,
     from_associated_matrix,
     invert,
-    make_lfmap,
 )
 
 from conftest import random_ball_point, random_complex_matrix
@@ -54,7 +53,7 @@ def test_identity_and_make():
     phi = LFMap.identity(3)
     z = np.array([0.1, 0.2j, -0.3])
     np.testing.assert_array_equal(phi(z), z)
-    psi = make_lfmap(np.eye(2), [0.0, 0.0], [0.0, 0.0], 2.0)
+    psi = LFMap(np.eye(2), [0.0, 0.0], [0.0, 0.0], 2.0)
     np.testing.assert_allclose(psi([0.4, 0.0]), [0.2, 0.0], atol=1e-15)
 
 
