@@ -51,12 +51,12 @@ class BruhatFactors:
         )
 
 
-def bruhat_factorize(m, pivot_tol: float = PIVOT_TOL) -> BruhatFactors:
+def bruhat_factorize(m) -> BruhatFactors:
     """Factor an invertible matrix by structured Gaussian elimination.
 
     Columns are processed left to right; the pivot of each column is the
     lowest not-yet-claimed row whose entry is nonzero (an entry counts
-    as zero below ``pivot_tol`` times the largest input magnitude).  Row
+    as zero below PIVOT_TOL times the largest input magnitude).  Row
     operations clear the column above its pivot and accumulate into the
     left unipotent factor; column operations clear the pivot row to the
     right and accumulate into the right one.
@@ -64,7 +64,7 @@ def bruhat_factorize(m, pivot_tol: float = PIVOT_TOL) -> BruhatFactors:
     m = linalg.as_square_matrix(m)
     n = m.shape[0]
     scale = float(np.max(np.abs(m))) if n else 0.0
-    threshold = pivot_tol * scale
+    threshold = PIVOT_TOL * scale
     work = m.copy()
     u1 = np.eye(n, dtype=np.complex128)
     u2 = np.eye(n, dtype=np.complex128)

@@ -166,12 +166,7 @@ def _emit(doc) -> None:
 
 def _cmd_check(args) -> int:
     phi = load_mapfile(args.mapfile)
-    report = criterion.check(
-        phi,
-        row_rel_tol=args.row_tol,
-        oracle_tol=args.oracle_tol,
-        krein_psd_tol=args.krein_tol,
-    )
+    report = criterion.check(phi)
     doc = {
         "row_lhs": list(report.row_lhs),
         "rhs": report.rhs,
@@ -186,9 +181,9 @@ def _cmd_check(args) -> int:
         "meta": _meta(
             args,
             {
-                "row_tol": args.row_tol,
-                "oracle_tol": args.oracle_tol,
-                "krein_tol": args.krein_tol,
+                "row_tol": criterion.ROW_REL_TOL,
+                "oracle_tol": criterion.ORACLE_TOL,
+                "krein_tol": criterion.KREIN_PSD_TOL,
             },
         ),
     }
@@ -222,7 +217,7 @@ def _cmd_supnorm(args) -> int:
 def _cmd_decompose(args) -> int:
     phi = load_mapfile(args.mapfile)
     factors = bruhat.factors_to_maps(
-        bruhat.bruhat_factorize(phi.associated_matrix(), pivot_tol=args.pivot_tol)
+        bruhat.bruhat_factorize(phi.associated_matrix())
     )
     recomposed = bruhat.compose_factor_maps(factors).associated_matrix()
     original = phi.associated_matrix()
@@ -240,7 +235,7 @@ def _cmd_decompose(args) -> int:
                 for f in factors
             ],
             "recomposition_residual": resid,
-            "meta": _meta(args, {"pivot_tol": args.pivot_tol}),
+            "meta": _meta(args, {"pivot_tol": bruhat.PIVOT_TOL}),
         }
     )
     return 0
@@ -261,8 +256,8 @@ def _cmd_invert(args) -> int:
 
 def _cmd_krein(args) -> int:
     phi = load_mapfile(args.mapfile)
-    t = criterion.krein_check(phi, psd_tol=args.krein_tol)
-    _emit({"t": t, "meta": _meta(args, {"krein_tol": args.krein_tol})})
+    t = criterion.krein_check(phi)
+    _emit({"t": t, "meta": _meta(args, {"krein_tol": criterion.KREIN_PSD_TOL})})
     return 0
 
 
@@ -312,9 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run all self-map tests on one map")
     p.add_argument("mapfile")
-    p.add_argument("--row-tol", type=float, default=criterion.ROW_REL_TOL)
-    p.add_argument("--oracle-tol", type=float, default=criterion.ORACLE_TOL)
-    p.add_argument("--krein-tol", type=float, default=criterion.KREIN_PSD_TOL)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("image", help="image ellipsoid center, shape, polar factors")
@@ -327,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="factor into reflections and affine maps")
     p.add_argument("mapfile")
-    p.add_argument("--pivot-tol", type=float, default=bruhat.PIVOT_TOL)
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("compose", help="composition first(second(z)) as a map file")
@@ -341,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("krein", help="search for a feasible indefinite-contraction scale")
     p.add_argument("mapfile")
-    p.add_argument("--krein-tol", type=float, default=criterion.KREIN_PSD_TOL)
     p.set_defaults(func=_cmd_krein)
 
     p = sub.add_parser("sample", help="Monte Carlo sup over random boundary points")

@@ -24,7 +24,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import PoleError
 from .geometry import (
     EllipsoidImage,
     ellipsoid_sup_norm,
@@ -90,27 +89,23 @@ def krein_metric(n: int) -> np.ndarray:
     return j
 
 
-def row_criterion(
-    phi: LFMap, rel_tol: float = ROW_REL_TOL
-) -> tuple[np.ndarray, float, np.ndarray]:
+def row_criterion(phi: LFMap) -> tuple[np.ndarray, float, np.ndarray]:
     """Per-row ellipsoid test.
 
     Row i compares |center|^2 + |r_i|^2 - 2 Re<center, r_i> against 1,
     where r_i is the conjugate transpose of the i-th row of the image
     ellipsoid's shape matrix; both sides are then rescaled by
     (|d|^2 - |c|^2)^2.  Returns (row_lhs, rhs, verdicts); the verdict
-    allows rel_tol of slack relative to rhs.  The rows are neither
+    allows ROW_REL_TOL of slack relative to rhs.  The rows are neither
     necessary nor sufficient for the map to send the ball into itself:
     a map can pass every row and leave the ball, and a self-map can
     exceed a row (A = [[-1/2, -1/2], [-1/4, 1/4]], B = (0, 1/2), C = 0,
     D = 1 has sup sqrt(5/6) but row 1 at 1.25).  The sup oracle decides.
     """
-    if not phi.pole_free_on_ball:
-        raise PoleError("row criterion needs a pole-free map")
-    return _ellipsoid_rows(phi, image_ellipsoid(phi), rel_tol)
+    return _ellipsoid_rows(phi, image_ellipsoid(phi))
 
 
-def _ellipsoid_rows(phi: LFMap, ell: EllipsoidImage, rel_tol: float):
+def _ellipsoid_rows(phi: LFMap, ell: EllipsoidImage):
     """row_criterion on the given image ellipsoid of phi, which check()
     shares with the oracle.  For an affine map (c = 0) the ellipsoid has
     center b/d and shape a/d, and rhs = |d|^4."""
@@ -122,7 +117,7 @@ def _ellipsoid_rows(phi: LFMap, ell: EllipsoidImage, rel_tol: float):
     for i in range(phi.dim):
         r = rows[i, :]
         lhs[i] = c2 + float(np.vdot(r, r).real) - 2.0 * float(np.vdot(r, center).real)
-    verdicts = lhs <= 1.0 + rel_tol
+    verdicts = lhs <= 1.0 + ROW_REL_TOL
     return lhs * scale, float(scale), verdicts
 
 
@@ -163,11 +158,11 @@ def _narrow(lo: _PencilPoint, hi: _PencilPoint | None, x: _PencilPoint):
     return x, x
 
 
-def krein_check(phi: LFMap, psd_tol: float = KREIN_PSD_TOL) -> float | None:
+def krein_check(phi: LFMap) -> float | None:
     """The t > 0 maximising lambda_min(J - t^2 m* J m), or None if infeasible.
 
     With m normalised by max|m| and s = t^2 max|m|^2 the matrix is
-    J - s H, H = m* J m, so neither the search nor psd_tol depends on the
+    J - s H, H = m* J m, so nothing in the search depends on the
     scale of the coefficients.  f(s) = lambda_min(J - s H) is concave with
     f(0) = -1, and J - s H is singular exactly at s = 1/mu for the
     eigenvalues mu of J H, so the zeros of f are among those points.  The
@@ -179,7 +174,7 @@ def krein_check(phi: LFMap, psd_tol: float = KREIN_PSD_TOL) -> float | None:
     flatter slope; if that leaves the bracket or fails to halve the last
     step, the intersection of the end tangents (exact at a kink where two
     eigenvalues cross); bisection whenever the bracket has not halved in
-    two steps.  The map is feasible when f at the maximiser is >= -psd_tol;
+    two steps.  The map is feasible when max f >= -KREIN_PSD_TOL;
     the search stops early once the end tangents put f below that.
     """
     m = phi.associated_matrix()
@@ -227,7 +222,7 @@ def krein_check(phi: LFMap, psd_tol: float = KREIN_PSD_TOL) -> float | None:
     step = hi.s - lo.s
     while hi.s - lo.s > _KREIN_ARGMAX_RTOL * hi.s:
         s_tan = (hi.value - lo.value + lo.slope * lo.s - hi.slope * hi.s) / (lo.slope - hi.slope)
-        if lo.value + lo.slope * (s_tan - lo.s) < -psd_tol:
+        if lo.value + lo.slope * (s_tan - lo.s) < -KREIN_PSD_TOL:
             return None
         base = lo if lo.slope <= -hi.slope else hi
         s_new = base.s - base.slope / base.curvature if base.curvature < 0.0 else np.nan
@@ -243,17 +238,19 @@ def krein_check(phi: LFMap, psd_tol: float = KREIN_PSD_TOL) -> float | None:
         lo, hi = _narrow(lo, hi, _pencil_point(j, h, s_new))
         widths.append(hi.s - lo.s)
     best = lo if lo.value >= hi.value else hi
-    if best.value < -psd_tol:
+    if best.value < -KREIN_PSD_TOL:
         return None
     return float(np.sqrt(best.s) / scale)
 
 
-def oracle_is_selfmap(phi: LFMap, tol: float = ORACLE_TOL) -> tuple[float, bool]:
+def oracle_is_selfmap(phi: LFMap) -> tuple[float, bool]:
     """Exact verdict: the ellipsoid sup norm compared against 1."""
-    if not phi.pole_free_on_ball:
-        raise PoleError("sup-norm oracle needs a pole-free map")
-    sup = ellipsoid_sup_norm(image_ellipsoid(phi))
-    return sup, bool(sup <= 1.0 + tol)
+    return _oracle(image_ellipsoid(phi))
+
+
+def _oracle(ell: EllipsoidImage) -> tuple[float, bool]:
+    sup = ellipsoid_sup_norm(ell)
+    return sup, bool(sup <= 1.0 + ORACLE_TOL)
 
 
 def _sphere_chunks(count: int, dim: int, seed: int):
@@ -358,9 +355,7 @@ def _nonpositive_eigenvector(m: np.ndarray, jd: np.ndarray):
     return best
 
 
-def classify_fixed_point(
-    phi: LFMap, oracle_sup: float, tol: float = ORACLE_TOL
-) -> tuple[str, np.ndarray | None]:
+def classify_fixed_point(phi: LFMap, oracle_sup: float) -> tuple[str, np.ndarray | None]:
     """Classify a verified self-map and locate the relevant fixed point.
 
     The fixed point (p, 1) is the eigenvector of the associated matrix m
@@ -376,7 +371,7 @@ def classify_fixed_point(
     apart from the rest of the spectrum even where an eigenvalue of m lies
     close to lam.
     """
-    if oracle_sup > 1.0 + tol:
+    if oracle_sup > 1.0 + ORACLE_TOL:
         return CLASS_NOT_SELFMAP, None
     n = phi.dim
     m = phi.associated_matrix()
@@ -384,7 +379,7 @@ def classify_fixed_point(
     jd = np.ones(n + 1)
     jd[n] = -1.0
     least, x, lam = _nonpositive_eigenvector(m, jd)
-    if oracle_sup < 1.0 - tol or least < -_ISOTROPIC_TOL:
+    if oracle_sup < 1.0 - ORACLE_TOL or least < -_ISOTROPIC_TOL:
         return CLASS_INTERIOR, x[:n] / x[n]
     g = np.diag(jd) - (m.conj().T * jd) @ m / abs(lam) ** 2
     vals, vecs = np.linalg.eigh((g + g.conj().T) / 2.0)
@@ -399,22 +394,14 @@ def classify_fixed_point(
     return CLASS_BOUNDARY, x[:n] / x[n]
 
 
-def check(
-    phi: LFMap,
-    row_rel_tol: float = ROW_REL_TOL,
-    oracle_tol: float = ORACLE_TOL,
-    krein_psd_tol: float = KREIN_PSD_TOL,
-) -> CriterionReport:
+def check(phi: LFMap) -> CriterionReport:
     """Run every self-map test on one pole-free map and bundle the results."""
-    if not phi.pole_free_on_ball:
-        raise PoleError("row criterion needs a pole-free map")
     ell = image_ellipsoid(phi)  # shared by the row test and the oracle
-    row_lhs, rhs, row_ok = _ellipsoid_rows(phi, ell, row_rel_tol)
+    row_lhs, rhs, row_ok = _ellipsoid_rows(phi, ell)
     criterion_selfmap = bool(np.all(row_ok))
-    oracle_sup = ellipsoid_sup_norm(ell)
-    oracle_ok = bool(oracle_sup <= 1.0 + oracle_tol)
-    krein_t = krein_check(phi, psd_tol=krein_psd_tol)
-    classification, point = classify_fixed_point(phi, oracle_sup, tol=oracle_tol)
+    oracle_sup, oracle_ok = _oracle(ell)
+    krein_t = krein_check(phi)
+    classification, point = classify_fixed_point(phi, oracle_sup)
     return CriterionReport(
         row_lhs=tuple(float(x) for x in row_lhs),
         rhs=float(rhs),
@@ -482,18 +469,19 @@ def random_pole_free_map(n: int, rng: np.random.Generator) -> LFMap:
     return LFMap(a, b, c, d)
 
 
-def agreement_table(count: int, seed: int, dims=(1, 2, 3, 4)) -> dict:
+def agreement_table(count: int, seed: int) -> dict:
     """Measured row-test vs oracle agreement over a random map ensemble.
 
     Rows alternate between shaped maps with a prescribed sup norm on
-    either side of 1 and raw pole-free maps.  Returns a dict with one
-    row per map and summary counts; fully deterministic per seed.
+    either side of 1 and raw pole-free maps, N = 1, 2, 3, 4 in turn.
+    Returns a dict with one row per map and summary counts; fully
+    deterministic per seed.
     """
     base = int(seed) % 2**63
     rows = []
     agree = both_true = both_false = criterion_only = oracle_only = 0
     for idx in range(count):
-        n = dims[idx % len(dims)]
+        n = 1 + idx % 4
         rng = np.random.default_rng([base, 7, idx])
         if idx % 2 == 0:
             target = rng.uniform(0.5, 1.5)
@@ -502,9 +490,10 @@ def agreement_table(count: int, seed: int, dims=(1, 2, 3, 4)) -> dict:
             phi = random_selfmap_shaped(n, rng, target)
         else:
             phi = random_pole_free_map(n, rng)
-        lhs, rhs, ok = row_criterion(phi)
+        ell = image_ellipsoid(phi)  # shared by the row test and the oracle
+        lhs, rhs, ok = _ellipsoid_rows(phi, ell)
         crit = bool(np.all(ok))
-        sup, oracle_ok = oracle_is_selfmap(phi)
+        sup, oracle_ok = _oracle(ell)
         rows.append(
             {
                 "index": idx,

@@ -112,25 +112,25 @@ def from_associated_matrix(m) -> LFMap:
     return LFMap(m[:n, :n], m[:n, n], np.conj(m[n, :n]), m[n, n])
 
 
-def evaluate(phi: LFMap, z, pole_tol: float = POLE_TOL) -> np.ndarray:
+def evaluate(phi: LFMap, z) -> np.ndarray:
     """Apply the map to a point, guarding against near-pole evaluation."""
     z = linalg.as_vector(z)
     if z.shape != (phi.dim,):
         raise ShapeError(f"point has shape {z.shape}, map acts on C^{phi.dim}")
     den = np.vdot(phi.c, z) + phi.d
-    floor = pole_tol * (abs(phi.d) + np.linalg.norm(phi.c) * np.linalg.norm(z))
+    floor = POLE_TOL * (abs(phi.d) + np.linalg.norm(phi.c) * np.linalg.norm(z))
     if abs(den) <= floor:
         raise PoleError(f"denominator {abs(den):.3e} at evaluation point", point=z)
     return (phi.a @ z + phi.b) / den
 
 
-def evaluate_batch(phi: LFMap, points, pole_tol: float = POLE_TOL) -> np.ndarray:
+def evaluate_batch(phi: LFMap, points) -> np.ndarray:
     """Apply the map to each row of an (m, N) array of points."""
     pts = np.asarray(points, dtype=np.complex128)
     if pts.ndim != 2 or pts.shape[1] != phi.dim:
         raise ShapeError(f"points have shape {pts.shape}, map acts on C^{phi.dim}")
     den = pts @ np.conj(phi.c) + phi.d
-    floors = pole_tol * (abs(phi.d) + np.linalg.norm(phi.c) * np.linalg.norm(pts, axis=1))
+    floors = POLE_TOL * (abs(phi.d) + np.linalg.norm(phi.c) * np.linalg.norm(pts, axis=1))
     bad = np.abs(den) <= floors
     if np.any(bad):
         idx = int(np.argmax(bad))

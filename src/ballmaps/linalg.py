@@ -42,17 +42,17 @@ def as_square_matrix(entries) -> np.ndarray:
     return m
 
 
-def inverse(a, pivot_tol: float = PIVOT_TOL) -> np.ndarray:
+def inverse(a) -> np.ndarray:
     """Invert a square matrix by Gauss-Jordan elimination with partial pivoting.
 
-    A pivot whose magnitude falls below ``pivot_tol`` times the largest
+    A pivot whose magnitude falls below PIVOT_TOL times the largest
     euclidean row norm of the input raises SingularMatrixError carrying
     that magnitude.
     """
     a = as_square_matrix(a)
     n = a.shape[0]
     scale = float(np.max(np.linalg.norm(a, axis=1))) if n else 0.0
-    threshold = pivot_tol * scale
+    threshold = PIVOT_TOL * scale
     work = np.concatenate([a.copy(), np.eye(n, dtype=np.complex128)], axis=1)
     for j in range(n):
         col = np.abs(work[j:, j])

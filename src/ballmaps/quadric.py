@@ -125,7 +125,7 @@ def normalized(q: Quadric) -> Quadric:
     return Quadric(q.s / scale, q.b / scale, q.c / scale)
 
 
-def to_hermitian(q: Quadric, tol: float = HERMITIAN_STRUCTURE_TOL) -> np.ndarray:
+def to_hermitian(q: Quadric) -> np.ndarray:
     """Homogeneous Hermitian matrix Q with q(z) = Z* Q Z, Z = (z, 1).
 
     Requires the quadratic part to be of Hermitian type, meaning no
@@ -138,7 +138,7 @@ def to_hermitian(q: Quadric, tol: float = HERMITIAN_STRUCTURE_TOL) -> np.ndarray
     syx, syy = s4[:, 1, :, 0], s4[:, 1, :, 1]
     scale = max(1.0, float(np.max(np.abs(q.s))))
     defect = max(float(np.max(np.abs(sxx - syy))), float(np.max(np.abs(sxy + syx))))
-    if defect > tol * scale:
+    if defect > HERMITIAN_STRUCTURE_TOL * scale:
         raise ContractViolation(
             "quadratic part is not of Hermitian type (has z_i z_j terms)"
         )
@@ -222,14 +222,12 @@ def pullback_swap(q: Quadric, i: int, j: int) -> Quadric:
     return from_hermitian(big[np.ix_(order, order)])
 
 
-def pullback_reflection(q: Quadric, n: int | None = None) -> Quadric:
+def pullback_reflection(q: Quadric) -> Quadric:
     """Pullback through the canonical reflection (z_1/z_N, ..., 1/z_N).
 
     Clears |z_N|^2: the result q' satisfies q'(z) = q(f(z)) |z_N|^2 away
     from z_N = 0.  An involution, exactly.
     """
-    if n is not None and n != q.dim:
-        raise ShapeError(f"reflection dimension {n} vs quadric dimension {q.dim}")
     return pullback_swap(q, q.dim - 1, q.dim)
 
 

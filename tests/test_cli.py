@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from ballmaps import compose, invert
+from ballmaps import bruhat, compose, criterion, invert
 from ballmaps.cli import dump_mapfile, load_mapfile, main, serialize
 
 from conftest import random_ball_point
@@ -57,6 +57,48 @@ def test_check_command(capsys, worked_file):
     assert not doc["discrepancy_flag"]
     assert doc["meta"]["tool"] == "ballmaps"
     assert doc["meta"]["tolerances"]["row_tol"] == 1e-10
+
+
+@pytest.mark.parametrize(
+    "argv, tolerances",
+    [
+        (["check", None], {"row_tol": 1e-10, "oracle_tol": 1e-9, "krein_tol": 1e-10}),
+        (["krein", None], {"krein_tol": 1e-10}),
+        (["decompose", None], {"pivot_tol": 1e-12}),
+        (["agreement", "--count", "2"], {"row_tol": 1e-10, "oracle_tol": 1e-9}),
+    ],
+)
+def test_meta_echoes_the_module_tolerances(capsys, worked_file, argv, tolerances):
+    # literal values, so a change to a tolerance constant fails here
+    argv = [worked_file if a is None else a for a in argv]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["meta"]["tolerances"] == tolerances
+    constants = {
+        "row_tol": criterion.ROW_REL_TOL,
+        "oracle_tol": criterion.ORACLE_TOL,
+        "krein_tol": criterion.KREIN_PSD_TOL,
+        "pivot_tol": bruhat.PIVOT_TOL,
+    }
+    assert tolerances == {k: constants[k] for k in tolerances}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("check", "--row-tol"),
+        ("check", "--oracle-tol"),
+        ("check", "--krein-tol"),
+        ("krein", "--krein-tol"),
+        ("decompose", "--pivot-tol"),
+    ],
+)
+def test_tolerance_flags_are_rejected(capsys, worked_file, command, flag):
+    # tolerances are fixed by the program, not set per call
+    with pytest.raises(SystemExit) as exc:
+        main([command, worked_file, flag, "1e-3"])
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_check_output_byte_identical(capsys, worked_file):
@@ -240,7 +282,10 @@ def test_pole_and_degenerate_exit_3(capsys, tmp_path):
     )
     code, _, err = run_cli(capsys, ["check", str(pole)])
     assert code == 3
-    assert json.loads(err)["error"] == "pole_on_ball"
+    assert json.loads(err) == {
+        "error": "pole_on_ball",
+        "detail": "map has poles on the closed unit ball",
+    }
 
     singular = tmp_path / "singular.json"
     singular.write_text(

@@ -342,7 +342,7 @@ def test_classify_strict_contraction():
     assert report.classification == CLASS_INTERIOR
     np.testing.assert_allclose(report.fixed_point, [0.0, 0.0], atol=1e-12)
 
-    # z -> p + (z - p) / 2 with |p|^2 = 1 - 2e-8: sup 1 - 5e-9 < 1 - tol,
+    # z -> p + (z - p) / 2 with |p|^2 = 1 - 2e-8: sup 1 - 5e-9 < 1 - ORACLE_TOL,
     # so the fixed point is interior although its J-form rounds to 0
     p = np.array([0.6, 0.8j]) * (1.0 - 1e-8)
     phi = LFMap(np.eye(2) / 2, p / 2, [0.0, 0.0], 1.0)
