@@ -7,6 +7,7 @@ a point set {center + shape @ v : |v| <= 1}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,8 +15,6 @@ import numpy as np
 from . import linalg
 from .errors import ContractViolation, DegenerateMapError, PoleError, ShapeError
 from .lfm import LFMap
-
-SUP_MAX_BISECT = 200
 
 
 def project_alpha(alpha, z) -> tuple[np.ndarray, np.ndarray]:
@@ -182,14 +181,22 @@ def image_ellipsoid(phi: LFMap) -> EllipsoidImage:
     return EllipsoidImage(center, shape)
 
 
-def _secular_sum(gap: float, diffs: np.ndarray, weights: np.ndarray) -> float:
-    """sum weights / (diffs + gap)^2 at lam = sigma_max^2 + gap.
+def _secular_sum(gap: float, diffs: list, weights: list) -> tuple[float, float]:
+    """(h, k) = (sum w / (d + gap)^2, sum w / (d + gap)^3) over the terms.
 
-    Working in the distance above sigma_max^2 keeps the pole distances
-    exact when the root sits within rounding range of the pole, which
-    happens for nearly centered ellipsoids.
+    h is the secular function at lam = sigma_max^2 + gap and -2 k its
+    derivative.  Working in the distance above sigma_max^2 keeps the pole
+    distances exact when the root sits within rounding range of the pole,
+    which happens for nearly centered ellipsoids.  Scalar Python: there
+    are at most N <= ~8 terms, too few to pay numpy's per-call cost.
     """
-    return float(np.sum(weights / (diffs + gap) ** 2))
+    h = k = 0.0
+    for d, w in zip(diffs, weights):
+        pole = d + gap
+        t = w / (pole * pole)
+        h += t
+        k += t / pole
+    return h, k
 
 
 def ellipsoid_sup_norm(ell: EllipsoidImage) -> float:
@@ -198,10 +205,15 @@ def ellipsoid_sup_norm(ell: EllipsoidImage) -> float:
     With shape = w diag(sigma) v* and coordinates rotated by w, the
     problem reduces to maximizing |m + diag(sigma) x| over the real
     nonnegative unit ball, whose stationary condition is the secular
-    equation sum_i sigma_i^2 m_i^2 / (lam - sigma_i^2)^2 = 1 with
-    lam > sigma_max^2.  Solved by bisection; when every component of m
-    along the top singular directions vanishes the root may not exist
-    and the leftover mass sits on a top direction instead.
+    equation h = sum_i sigma_i^2 m_i^2 / (lam - sigma_i^2)^2 = 1 with
+    lam > sigma_max^2.  When every component of m along the top singular
+    directions vanishes the root may not exist and the leftover mass sits
+    on a top direction instead (the hard case).  Otherwise the root is
+    found by Newton's method on 1 / sqrt(h) - 1 in gap = lam - sigma_max^2,
+    started left of the root: that function is increasing and concave in
+    the gap (Moré and Sorensen 1983), so the iterates rise monotonically
+    to the root, in one step when a single pole dominates.  A step that
+    rounding pushes out of the bracket falls back to its geometric midpoint.
     """
     w, sigma, _ = linalg.svd(ell.shape)
     m = np.abs(w.conj().T @ ell.center)
@@ -218,9 +230,11 @@ def ellipsoid_sup_norm(ell: EllipsoidImage) -> float:
     sig2 = sigma[active] ** 2
     diffs = smax**2 - sig2
     weights = sig2 * m[active] ** 2
+    diff_list, weight_list = diffs.tolist(), weights.tolist()
     gap_lo = 1e-30 * max(smax**2, mnorm**2)
     gap_hi = (smax + mnorm) ** 2
-    if _secular_sum(gap_lo, diffs, weights) <= 1.0:
+    h, k = _secular_sum(gap_lo, diff_list, weight_list)
+    if h <= 1.0:
         # Hard case: the active directions cannot absorb all the mass, so
         # the rest rides a top singular direction at lam = sigma_max^2.
         lam = smax**2
@@ -233,19 +247,30 @@ def ellipsoid_sup_norm(ell: EllipsoidImage) -> float:
             + lam * rest
         )
         return float(np.sqrt(sup2))
-    # Bisect on log(gap): the root can be many orders of magnitude
-    # closer to the pole than to the far bracket.
-    lo = np.log(gap_lo)
-    hi = np.log(gap_hi)
-    for _ in range(SUP_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        if _secular_sum(np.exp(mid), diffs, weights) > 1.0:
-            lo = mid
+    # Stop when h is 1 to rounding, or when the step is below the rounding
+    # of the nearest pole distance d + gap.  sup^2 moves by 2 lam k per unit
+    # of gap, and k (gap + min d) <= h, so either test leaves sup^2 within
+    # about 2e-15 relative of its value at the root, even where rounding
+    # fixes the gap itself only loosely: no top direction active, or a tied
+    # top one with a tiny component.  The last step is still taken when it
+    # stays in the bracket: it costs no evaluation.
+    dmin = min(diff_list)
+    lo, hi, gap = gap_lo, gap_hi, gap_lo
+    while True:
+        if h > 1.0:
+            lo = gap
         else:
-            hi = mid
-        if hi - lo <= 1e-14:
+            hi = gap
+        step = (h**1.5 - h) / k
+        done = abs(h - 1.0) <= 1e-15 or abs(step) <= 1e-15 * (gap + dmin)
+        if lo < gap + step < hi:
+            gap += step
+        elif not done:
+            gap = math.sqrt(lo) * math.sqrt(hi)
+            done = not lo < gap < hi
+        if done:
             break
-    gap = np.exp(0.5 * (lo + hi))
+        h, k = _secular_sum(gap, diff_list, weight_list)
     lam = smax**2 + gap
-    sup2 = lam**2 * float(np.sum(m[active] ** 2 / (diffs + gap) ** 2))
+    sup2 = lam * lam * float(np.sum(m[active] ** 2 / (diffs + gap) ** 2))
     return float(np.sqrt(sup2))

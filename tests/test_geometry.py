@@ -13,6 +13,7 @@ from ballmaps import (
     automorphism_to_lfmap,
     ball_involution,
     ellipsoid_sup_norm,
+    geometry,
     image_ellipsoid,
     involution_matrix,
     involution_matrix_inverse,
@@ -243,3 +244,143 @@ def test_sup_norm_brackets_random():
         assert sup <= cnorm + smax + 1e-10, "triangle upper bound violated"
         assert sup >= max(cnorm, smax) - 1e-10, "trivial lower bound violated"
         assert sup >= _ascent_sup(ell) - 1e-8, "below an achievable value"
+
+
+def _reference_sup(center, shape, dps=50):
+    """sup |center + shape v| over |v| <= 1 in 50-digit arithmetic.
+
+    The double inputs are taken as exact.  With s_i the eigenvalues of
+    shape shape* and m_i the components of center along its eigenvectors,
+    the sup is lam * sqrt(sum m_i^2 / (lam - s_i)^2) at the root lam > s_max
+    of sum s_i m_i^2 / (lam - s_i)^2 = 1, found by bisection in
+    log(lam - s_max).  When center has no component along the top
+    eigenvalue and the other terms sum to <= 1 at lam = s_max (the hard
+    case), the root does not exist and the closed form below holds.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    with mpmath.workdps(dps):
+        n = len(center)
+        a = mp.matrix([[mp.mpc(z.real, z.imag) for z in row] for row in shape])
+        c = [mp.mpc(z.real, z.imag) for z in center]
+        evals, evecs = mp.eighe(a * a.H)
+        s = [max(mp.re(x), mp.mpf(0)) for x in evals]
+        m2 = [abs(sum(mp.conj(evecs[r, i]) * c[r] for r in range(n))) ** 2 for i in range(n)]
+        top = max(s)
+        scale = max(top, sum(m2), mp.mpf(1))
+        tied = [top - x <= mp.mpf(10) ** (-(dps - 15)) * scale for x in s]
+        rest = [i for i in range(n) if not tied[i]]
+        m2_top = sum(m2[i] for i in range(n) if tied[i])
+        h_rest = sum(s[i] * m2[i] / (top - s[i]) ** 2 for i in rest)
+        if m2_top <= mp.mpf(10) ** (-2 * dps) * scale and h_rest <= 1:
+            sup2 = sum(m2[i] * top**2 / (top - s[i]) ** 2 for i in rest) + top * (1 - h_rest)
+            return float(mp.sqrt(sup2))
+
+        def h(gap):
+            return sum(s[i] * m2[i] / (top - s[i] + gap) ** 2 for i in range(n))
+
+        lo = mp.log(mp.mpf(10) ** (-2 * dps) * scale)
+        hi = mp.log(4 * scale)
+        while hi - lo > mp.mpf(10) ** (-(dps - 20)):
+            mid = (lo + hi) / 2
+            if h(mp.exp(mid)) > 1:
+                lo = mid
+            else:
+                hi = mid
+        lam = top + mp.exp((lo + hi) / 2)
+        return float(lam * mp.sqrt(sum(m2[i] / (lam - s[i]) ** 2 for i in range(n))))
+
+
+def _sup_ensemble():
+    """Adversarial ellipsoids for the sup-norm solver, N = 1..8.
+
+    center = w (m * phases) and shape = w diag(sigma) v* for random
+    unitaries w, v, so m holds the center's components along the singular
+    directions.  "hard" has m_0 = 0 along the top direction and the rest
+    small enough that no root exists; the "hard_1e-k" family moves m_0
+    from 0.1 sigma_0 down to 0 across that switch.  "past_switch_1e-k"
+    scales the rest to just past it, where the other terms sum to 1 + 1e-k
+    at sigma_max^2, and puts a rounding-sized m_0 on the top direction, as
+    boundary-contact maps do.
+    """
+    rng = np.random.default_rng(38)
+    out = []
+    for n in range(1, 9):
+
+        def make(label, sigma, m):
+            w = random_unitary(n, rng)
+            v = random_unitary(n, rng)
+            phases = np.exp(2j * np.pi * rng.uniform(size=n))
+            ell = EllipsoidImage(w @ (m * phases), (w * sigma) @ v.conj().T)
+            out.append((f"{label}/N={n}", ell))
+
+        sigma = np.sort(rng.uniform(0.2, 0.9, n))[::-1]
+        hard = np.zeros(n)
+        if n > 1:
+            sigma[0] = 1.25 * sigma[1]
+            gap = (sigma[0] ** 2 - sigma[1:] ** 2) / sigma[1:]
+            hard[1:] = 0.3 * gap * rng.uniform(0.2, 1.0, n - 1) / np.sqrt(n)
+        make("hard", sigma, hard)
+        for k in [None] + list(range(1, 17)):
+            m = hard.copy()
+            m[0] = 0.0 if k is None else 10.0**-k * sigma[0]
+            make("hard_0" if k is None else f"hard_1e-{k}", sigma, m)
+        make("near_hard", sigma, np.where(np.arange(n) == 0, 1e-7 * sigma[0], hard))
+        if n > 1:
+            h_rest = np.sum((sigma[1:] * hard[1:] / (sigma[0] ** 2 - sigma[1:] ** 2)) ** 2)
+            for k in (2, 5, 8, 11):
+                m = hard * np.sqrt((1.0 + 10.0**-k) / h_rest)
+                m[0] = 1e-13 * sigma[0]
+                make(f"past_switch_1e-{k}", sigma, m)
+
+        tied = sigma.copy()
+        tied[: min(n, 3)] = tied[0]
+        make("repeated_top", tied, rng.uniform(0.0, 0.5, n))
+        m = np.zeros(n)
+        m[min(n, 3) :] = 0.1 * rng.uniform(0.2, 1.0, n - min(n, 3)) * (tied[0] - tied[min(n, 3) :])
+        m[0] = 1e-14
+        make("tied_top_1e-14", tied, m)
+
+        make("nearly_centred", sigma, 1e-12 * sigma[0] * rng.uniform(0.5, 1.0, n) / np.sqrt(n))
+
+        contact = sigma * rng.uniform(0.3, 0.8) / sigma[0]
+        make("boundary_contact", contact, np.where(np.arange(n) == 0, 1.0 - contact[0], 0.0))
+
+        make("generic", np.sort(rng.uniform(0.1, 1.0, n))[::-1], rng.uniform(0.0, 0.6, n))
+    return out
+
+
+SUP_ENSEMBLE = _sup_ensemble()
+
+
+@pytest.mark.parametrize("label,ell", SUP_ENSEMBLE, ids=[label for label, _ in SUP_ENSEMBLE])
+def test_sup_norm_matches_50_digit_reference(label, ell):
+    want = _reference_sup(ell.center, ell.shape)
+    got = ellipsoid_sup_norm(ell)
+    assert abs(got - want) <= 1e-12 * want, f"{label}: sup {got!r}, reference {want!r}"
+    if label.startswith("boundary_contact"):
+        assert abs(want - 1.0) <= 1e-14
+
+
+def test_sup_norm_secular_evaluations(monkeypatch):
+    # Count evaluations through the module global, as the benchmark tracer
+    # does: a solver that stops calling it also fails here.
+    original = geometry._secular_sum
+    calls = []
+
+    def counting(*args):
+        calls[-1] += 1
+        return original(*args)
+
+    monkeypatch.setattr(geometry, "_secular_sum", counting)
+    for _, ell in SUP_ENSEMBLE:
+        calls.append(0)
+        ellipsoid_sup_norm(ell)
+    past = [c for (label, _), c in zip(SUP_ENSEMBLE, calls) if label.startswith("past_switch")]
+    rest = [c for (label, _), c in zip(SUP_ENSEMBLE, calls) if not label.startswith("past_switch")]
+    assert max(rest) <= 16, f"worst solve took {max(rest)} evaluations"
+    assert np.mean(rest) <= 6.0, f"mean {np.mean(rest):.2f} evaluations per solve"
+    # Just past the switch Newton converges only linearly, by about 1.5x in
+    # the gap per step, until the gap passes the point where the tiny top
+    # term stops dominating h - 1.
+    assert max(past) <= 32, f"worst solve past the switch took {max(past)} evaluations"
