@@ -4,9 +4,9 @@ Map files are JSON objects {"N": n, "A": [[..]], "B": [..], "C": [..],
 "D": [re, im]} with every complex number written as an [re, im] pair.
 Output is a single JSON document on stdout, serialized with 17
 significant digits so identical inputs produce byte-identical bytes.
-Exit codes: 0 success, 2 malformed input, 3 degenerate or
-pole-violating map; failures print one machine-parsable JSON line on
-stderr.
+Exit codes: 0 success, 2 malformed input, 3 for a map whose associated
+matrix is singular to working precision or whose poles meet the closed
+ball; failures print one machine-parsable JSON line on stderr.
 """
 
 from __future__ import annotations

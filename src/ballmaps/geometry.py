@@ -214,12 +214,25 @@ def ellipsoid_sup_norm(ell: EllipsoidImage) -> float:
     the gap (Moré and Sorensen 1983), so the iterates rise monotonically
     to the root, in one step when a single pole dominates.  A step that
     rounding pushes out of the bracket falls back to its geometric midpoint.
+
+    The solve runs on sigma and m divided by the power of two 2^e that
+    brings max(sigma_max, max m_i) into [1/2, 1).  That division is exact,
+    so the thresholds of the solve are relative to the ellipsoid's size
+    and the result is homogeneous: bit for bit, as long as the SVD itself
+    scales exactly.
     """
     w, sigma, _ = linalg.svd(ell.shape)
     m = np.abs(w.conj().T @ ell.center)
+    # max m_i, not |m|: |m|^2 underflows for tiny ellipsoids.
+    e = math.frexp(max(sigma[0], m.max()))[1]
+    return math.ldexp(_unit_sup_norm(np.ldexp(sigma, -e), np.ldexp(m, -e)), e)
+
+
+def _unit_sup_norm(sigma: np.ndarray, m: np.ndarray) -> float:
+    """The sup norm of ellipsoid_sup_norm, for max(sigma_max, max m_i) < 1."""
     smax = float(sigma[0])
     mnorm = float(np.linalg.norm(m))
-    if mnorm <= 1e-15 * max(1.0, smax):
+    if mnorm <= 1e-15:
         return smax
     if smax <= 1e-15 * mnorm:
         return mnorm

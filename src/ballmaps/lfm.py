@@ -11,7 +11,10 @@ The associated matrix is the (N+1) x (N+1) block matrix
     [ conj(c)  d ]
 
 and turns composition of maps into matrix multiplication.  Scalar
-multiples of the associated matrix describe the same map.
+multiples of the associated matrix describe the same map, and a map is
+accepted when that matrix is invertible to working precision: its
+smallest singular value exceeds (N + 1) eps times its largest, the
+default rank rule of numpy's matrix_rank.  The rule is scale-invariant.
 """
 
 from __future__ import annotations
@@ -35,7 +38,13 @@ NORMALIZE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class LFMap:
-    """A linear fractional map with an invertible associated matrix."""
+    """A linear fractional map with an invertible associated matrix.
+
+    The coefficients are stored as given.  DegenerateMapError is raised
+    when the associated matrix is singular to working precision (see the
+    module docstring).  Conjugating by a ball automorphism near the sphere
+    leaves a map invertible but ill-conditioned; such maps are accepted.
+    """
 
     a: np.ndarray
     b: np.ndarray
@@ -60,13 +69,9 @@ class LFMap:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
-        m = self.associated_matrix()
-        try:
-            linalg.inverse(m)
-        except SingularMatrixError as exc:
-            raise DegenerateMapError(
-                f"associated matrix is singular (pivot {exc.pivot:.3e})"
-            ) from exc
+        sigma = np.linalg.svd(self.associated_matrix(), compute_uv=False)
+        if sigma[-1] <= (n + 1) * np.finfo(float).eps * sigma[0]:
+            raise DegenerateMapError("associated matrix is singular to working precision")
 
     @property
     def dim(self) -> int:

@@ -3,7 +3,8 @@
 Everything here works on square complex128 arrays of modest dimension
 (a dozen rows or so).  Matrix products and factorizations delegate to
 numpy; inversion runs its own Gauss-Jordan elimination so that a failed
-pivot can be reported with its magnitude.
+pivot can be reported with its magnitude.  Its one caller is
+lfm.invert: LFMap itself tests its matrix by singular values.
 """
 
 from __future__ import annotations

@@ -22,3 +22,10 @@ def random_ball_point(rng: np.random.Generator, n: int, radius: float = 0.9) -> 
 
 def random_complex_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def near_sphere_contraction(delta, r=0.5):
+    """psi_p o (r z) o psi_p for the disc involution psi_p(z) = (p - z) /
+    (1 - p z), p = 1 - delta: a strict self-map fixing p."""
+    p = 1.0 - delta
+    return LFMap([[r - p * p]], [p * (1.0 - r)], [-p * (1.0 - r)], 1.0 - p * p * r), p

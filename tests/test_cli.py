@@ -301,7 +301,10 @@ def test_pole_and_degenerate_exit_3(capsys, tmp_path):
     )
     code, _, err = run_cli(capsys, ["supnorm", str(singular)])
     assert code == 3
-    assert json.loads(err)["error"] == "degenerate_map"
+    assert json.loads(err) == {
+        "error": "degenerate_map",
+        "detail": "associated matrix is singular to working precision",
+    }
 
 
 def test_version_flag(capsys):

@@ -30,6 +30,8 @@ from ballmaps.criterion import (
     random_unitary,
 )
 
+from conftest import near_sphere_contraction
+
 
 def involution_map(alpha):
     return automorphism_to_lfmap(BallAutomorphism(alpha, np.eye(len(alpha))))
@@ -352,13 +354,6 @@ def test_classify_strict_contraction():
     np.testing.assert_allclose(report.fixed_point, p, rtol=0.0, atol=1e-12)
 
 
-def near_sphere_contraction(delta, r=0.5):
-    """psi_p o (r z) o psi_p for the disc involution psi_p(z) = (p - z) /
-    (1 - p z), p = 1 - delta: a strict self-map fixing p."""
-    p = 1.0 - delta
-    return LFMap([[r - p * p]], [p * (1.0 - r)], [-p * (1.0 - r)], 1.0 - p * p * r), p
-
-
 # r = 1 - 5e-5 at p = 0.96: eigenvalues 5e-5 apart with eigenvectors
 # within 1e-3 of parallel, which are distinct and must not be averaged
 @pytest.mark.parametrize(
@@ -371,6 +366,18 @@ def test_classify_strict_contraction_near_the_sphere(delta, r):
     assert report.oracle_sup < 1.0
     assert report.classification == CLASS_INTERIOR
     np.testing.assert_allclose(report.fixed_point, [p], rtol=0.0, atol=1e-9)
+
+
+def test_check_an_ill_conditioned_contraction_near_the_sphere():
+    # At 1 - p = 1e-7 the associated matrix has sigma_min / sigma_max = 2e-14,
+    # above rounding: the map is accepted and every route but Krein's is
+    # checked against the construction (krein_check misses this map).
+    phi, p = near_sphere_contraction(1e-7)
+    report = check(phi)
+    assert report.oracle_selfmap
+    assert abs(report.oracle_sup - (p + 0.5) / (1.0 + p / 2.0)) <= 1e-9
+    assert report.classification == CLASS_INTERIOR
+    np.testing.assert_allclose(report.fixed_point, [p], rtol=0.0, atol=1e-8)
 
 
 def test_classify_involution_interior_point():

@@ -362,6 +362,28 @@ def test_sup_norm_matches_50_digit_reference(label, ell):
         assert abs(want - 1.0) <= 1e-14
 
 
+def test_sup_norm_is_homogeneous():
+    # The solve runs at a power-of-two scale, so scaling an ellipsoid by 2^k
+    # scales its sup by 2^k bit for bit while the SVD's own singular values
+    # scale exactly.  From about 2^-446 LAPACK's singular values of some of
+    # these ellipsoids move in the last bit, and past about 2^+-459 LAPACK
+    # rescales its input.
+    for label, ell in SUP_ENSEMBLE:
+        want = ellipsoid_sup_norm(ell)
+        for k in range(-960, 961, 40):
+            got = ellipsoid_sup_norm(EllipsoidImage(ell.center * 2.0**k, ell.shape * 2.0**k))
+            if abs(k) <= 400:
+                assert got == want * 2.0**k, f"{label}, 2^{k}: {got!r}"
+            else:
+                assert abs(got - want * 2.0**k) <= 1e-14 * want * 2.0**k, f"{label}, 2^{k}: {got!r}"
+
+
+def test_sup_norm_keeps_a_centre_below_the_old_absolute_threshold():
+    # sigma = 1e-8 with a centre of 1e-21 along the top singular direction
+    ell = EllipsoidImage([1e-21, 0.0], np.diag([1e-8, 0.5e-8]))
+    assert abs(ellipsoid_sup_norm(ell) - (1e-8 + 1e-21)) <= 1e-15 * 1e-8
+
+
 def test_sup_norm_secular_evaluations(monkeypatch):
     # Count evaluations through the module global, as the benchmark tracer
     # does: a solver that stops calling it also fails here.

@@ -17,7 +17,7 @@ from ballmaps import (
     invert,
 )
 
-from conftest import random_ball_point, random_complex_matrix
+from conftest import near_sphere_contraction, random_ball_point, random_complex_matrix
 
 
 def test_worked_map_values(worked_map):
@@ -47,6 +47,35 @@ def test_constructor_rejects_singular_matrix():
     # b = a e1 and d = conj(c1) make the last column a multiple of the first
     with pytest.raises(DegenerateMapError):
         LFMap(np.eye(2), [1.0, 0.0], [1.0, 0.0], 1.0)
+
+
+def test_constructor_accepts_an_ill_conditioned_map():
+    # psi_p o (z/2) o psi_p at 1 - p = 1e-7: sigma_min / sigma_max = 2e-14,
+    # about 90 eps, though its elimination pivot is 4e-14
+    phi, p = near_sphere_contraction(1e-7)
+    np.testing.assert_allclose(phi([p]), [p], rtol=0.0, atol=1e-8)
+
+
+def test_constructor_rejects_matrices_singular_to_rounding():
+    # at 1 - p = 1e-8 the ratio is 1.9e-16, below (N + 1) eps
+    with pytest.raises(DegenerateMapError):
+        near_sphere_contraction(1e-8)
+    # the last column is m @ [x, 0], so m [x, -1] = 0 up to rounding
+    rng = np.random.default_rng(24)
+    for n in range(1, 9):
+        for _ in range(25):
+            a = random_complex_matrix(rng, n)
+            x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            with pytest.raises(DegenerateMapError):
+                LFMap(a, a @ x, c, np.conj(c) @ x)
+
+
+@pytest.mark.parametrize("k", range(-150, 151, 50))
+def test_constructor_is_scale_invariant(worked_map, k):
+    scale = 10.0**k
+    phi = LFMap(worked_map.a * scale, worked_map.b * scale, worked_map.c * scale, worked_map.d * scale)
+    np.testing.assert_allclose(phi([0.0, 0.0]), [1.0 / 3.0, 0.0], atol=1e-15)
 
 
 def test_identity_and_make():
