@@ -35,8 +35,15 @@ from .lfm import LFMap, evaluate_batch, from_associated_matrix
 ROW_REL_TOL = 1e-10
 ORACLE_TOL = 1e-9
 KREIN_PSD_TOL = 1e-10
-# krein_check narrows the bracket of its maximiser to this relative width,
-# and doubles s at most this many times past the last candidate.
+# krein_check takes sorted candidates within _KREIN_CLUSTER_RTOL (relative)
+# of their neighbour as one repeated zero of det(J - s H), split by rounding
+# (measured on check-mixed seeds 1-60 and the Siegel maps of the tests: at
+# most 3e-7 at boundary contact, at least 1.3e-4 between other neighbours).
+# It locates any other maximiser to _KREIN_ARGMAX_RTOL (relative): the
+# bracket narrows to that width, or a Newton step of at most a quarter of it
+# ends the search.  It doubles s at most _KREIN_MAX_DOUBLINGS times past the
+# last candidate.
+_KREIN_CLUSTER_RTOL = 1e-5
 _KREIN_ARGMAX_RTOL = 1e-11
 _KREIN_MAX_DOUBLINGS = 64
 SAMPLE_CHUNK = 4096
@@ -158,6 +165,38 @@ def _narrow(lo: _PencilPoint, hi: _PencilPoint | None, x: _PencilPoint):
     return x, x
 
 
+def _contact_point(j: np.ndarray, h: np.ndarray, candidates: np.ndarray) -> float | None:
+    """The maximiser s of f(s) = lambda_min(J - s H) at boundary contact.
+
+    There f <= 0 touches 0 at one point, a repeated zero of det(J - s H),
+    which rounding splits into a run of sorted candidates within
+    _KREIN_CLUSTER_RTOL of each other.  Each run, in ascending order,
+    costs one eigh at its mean s.  s is the maximiser when f(s) is 0 to
+    KREIN_PSD_TOL and 0 lies in the superdifferential of f there: the
+    slopes -V* H V on the kernel V of J - s H (its eigenvectors with
+    eigenvalue at most KREIN_PSD_TOL) take both signs, to KREIN_PSD_TOL
+    (Lewis and Overton, "Eigenvalue optimization", Acta Numerica 1996).  A repeated zero at an end of a feasible interval
+    (z -> z/2 has one at s = 4) has slopes of one sign and is passed over.
+    """
+    c = candidates.tolist()
+    first = 0
+    for k in range(1, len(c) + 1):
+        if k < len(c) and c[k] - c[k - 1] <= _KREIN_CLUSTER_RTOL * c[k]:
+            continue
+        run, first = c[first:k], k
+        if len(run) < 2:
+            continue
+        s = sum(run) / len(run)
+        lam, vec = np.linalg.eigh(j - s * h)
+        if abs(lam[0]) > KREIN_PSD_TOL:
+            continue
+        kernel = vec[:, lam <= KREIN_PSD_TOL]
+        slopes = np.linalg.eigvalsh(-(kernel.conj().T @ h @ kernel))
+        if slopes[0] <= KREIN_PSD_TOL and slopes[-1] >= -KREIN_PSD_TOL:
+            return s
+    return None
+
+
 def krein_check(phi: LFMap) -> float | None:
     """The t > 0 maximising lambda_min(J - t^2 m* J m), or None if infeasible.
 
@@ -168,14 +207,19 @@ def krein_check(phi: LFMap) -> float | None:
     eigenvalues mu of J H, so the zeros of f are among those points.  The
     real parts of the mu with Re mu > 0 are taken: a defective mu
     (parabolic boundary contact) splits into a near-real complex pair.
-    The sign of f' at these points and at their geometric midpoints,
-    found by bisecting the sorted list, brackets the maximiser.  Each step
-    then costs one eigh: a Newton step on f' from the bracket end with the
-    flatter slope; if that leaves the bracket or fails to halve the last
-    step, the intersection of the end tangents (exact at a kink where two
-    eigenvalues cross); bisection whenever the bracket has not halved in
-    two steps.  The map is feasible when max f >= -KREIN_PSD_TOL;
-    the search stops early once the end tangents put f below that.
+
+    At boundary contact the maximiser is a repeated candidate, certified
+    by one eigh (_contact_point).  Otherwise the sign of f' at the
+    candidates and at their geometric midpoints, found by bisecting the
+    sorted list, brackets the maximiser.  Each step then costs one eigh:
+    a Newton step on f' from the bracket end with the flatter slope,
+    taken whenever it stays in the bracket and at most halves the last
+    step; else the intersection of the end tangents (exact at a kink
+    where two eigenvalues cross), or bisection when the bracket has not
+    halved in two steps.  A Newton step of at most _KREIN_ARGMAX_RTOL s / 4
+    ends the search at its target, which needs no further eigh.  The map
+    is feasible when max f >= -KREIN_PSD_TOL; the search stops early once
+    the end tangents put f below that.
     """
     m = phi.associated_matrix()
     scale = float(np.max(np.abs(m)))
@@ -190,9 +234,13 @@ def krein_check(phi: LFMap) -> float | None:
     if lo.slope <= 0.0:
         return None
     mu = np.linalg.eigvals(j @ h).real
-    roots = np.unique(1.0 / mu[mu > 0.0])
-    if roots.size == 0:
+    candidates = np.sort(1.0 / mu[mu > 0.0])
+    if candidates.size == 0:
         return None
+    s_contact = _contact_point(j, h, candidates)
+    if s_contact is not None:
+        return float(np.sqrt(s_contact) / scale)
+    roots = np.unique(candidates)
     points = np.empty(2 * roots.size - 1)
     points[0::2] = roots
     points[1::2] = np.sqrt(roots[:-1] * roots[1:])
@@ -220,16 +268,22 @@ def krein_check(phi: LFMap) -> float | None:
         hi = lo
     widths = [np.inf, np.inf, hi.s - lo.s]
     step = hi.s - lo.s
+    best = None
     while hi.s - lo.s > _KREIN_ARGMAX_RTOL * hi.s:
         s_tan = (hi.value - lo.value + lo.slope * lo.s - hi.slope * hi.s) / (lo.slope - hi.slope)
         if lo.value + lo.slope * (s_tan - lo.s) < -KREIN_PSD_TOL:
             return None
         base = lo if lo.slope <= -hi.slope else hi
         s_new = base.s - base.slope / base.curvature if base.curvature < 0.0 else np.nan
-        if not (lo.s <= s_new <= hi.s and abs(s_new - base.s) <= 0.5 * step):
+        if lo.s <= s_new <= hi.s and abs(s_new - base.s) <= 0.5 * step:
+            if abs(s_new - base.s) <= 0.25 * _KREIN_ARGMAX_RTOL * s_new:
+                # Converged: f at s_new exceeds f at base by O(step^2).
+                best = base._replace(s=s_new)
+                break
+        else:
             s_new = s_tan
-        if not (lo.s <= s_new <= hi.s and widths[-1] <= 0.5 * widths[-3]):
-            s_new = 0.5 * (lo.s + hi.s)
+            if not (lo.s <= s_new <= hi.s and widths[-1] <= 0.5 * widths[-3]):
+                s_new = 0.5 * (lo.s + hi.s)
         # Stay clear of the ends, so that a converged step lands across
         # the maximiser and closes the bracket.
         margin = 0.25 * _KREIN_ARGMAX_RTOL * hi.s
@@ -237,7 +291,8 @@ def krein_check(phi: LFMap) -> float | None:
         step = abs(s_new - base.s)
         lo, hi = _narrow(lo, hi, _pencil_point(j, h, s_new))
         widths.append(hi.s - lo.s)
-    best = lo if lo.value >= hi.value else hi
+    if best is None:
+        best = lo if lo.value >= hi.value else hi
     if best.value < -KREIN_PSD_TOL:
         return None
     return float(np.sqrt(best.s) / scale)

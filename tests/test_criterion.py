@@ -256,21 +256,33 @@ def test_krein_near_sphere_contraction_is_finite():
     assert report.krein_t == t and report.classification == CLASS_INTERIOR
 
 
-@pytest.mark.parametrize("n", range(1, 9))
-def test_krein_certificate_at_boundary_contact(n):
-    # the feasible set shrinks to one point; mu is defective when parabolic
-    rng = np.random.default_rng([55, n])
+def krein_contact_maps(n, rng):
+    """Three Siegel translations and three Siegel dilations conjugated to
+    the ball, each with its Krein maximiser t* = |lam_a lam_r|^(-1/2).
+
+    lam_a and lam_r are the eigenvalues of m at the attracting and the
+    repelling isotropic eigenvector: 1 and 1 for a translation, lam and 1
+    for a dilation w1 -> lam w1.  siegel_conjugate keeps the eigenvalues
+    of the Siegel matrix, and coefficient_map takes m with factor 1.
+    """
     maps = []
     for _ in range(3):
         translate = np.eye(n + 1, dtype=np.complex128)
         translate[0, n] = rng.uniform(-1.0, 1.0) + 1j * rng.uniform(0.0, 2.0)
-        maps.append(siegel_conjugate(translate, rng)[0])
+        maps.append((siegel_conjugate(translate, rng)[0], 1.0))
         lam = rng.uniform(1.3, 4.0)
         dilate = np.eye(n + 1, dtype=np.complex128)
         dilate[0, 0] = lam
         dilate[1:n, 1:n] = random_unitary(n - 1, rng) * (np.sqrt(lam) * rng.uniform(0.3, 1.0))
-        maps.append(siegel_conjugate(dilate, rng)[0])
-    for phi in maps:
+        maps.append((siegel_conjugate(dilate, rng)[0], 1.0 / np.sqrt(lam)))
+    return maps
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_krein_certificate_at_boundary_contact(n):
+    # the feasible set shrinks to one point; mu is defective when parabolic
+    rng = np.random.default_rng([55, n])
+    for phi, _ in krein_contact_maps(n, rng):
         sup, ok = oracle_is_selfmap(phi)
         assert abs(sup - 1.0) < 1e-9 and ok
         t = krein_check(phi)
@@ -284,6 +296,116 @@ def test_krein_certificate_at_boundary_contact(n):
         assert worst >= -1e-9
         assert worst >= krein_min_eig(phi, t * (1.0 + 1e-4))
         assert worst >= krein_min_eig(phi, t * (1.0 - 1e-4))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_krein_contact_maximiser_matches_construction(n):
+    for phi, t_star in krein_contact_maps(n, np.random.default_rng([55, n])):
+        assert abs(krein_check(phi) / t_star - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_krein_passes_over_a_repeated_end_of_the_feasible_interval(n):
+    # z -> z/2: f(s) = min(1 - s/4, s - 1) is 0 at s = 4, a candidate
+    # repeated n times but the far end of the feasible interval [1, 4];
+    # the maximiser is s = 1.6.  The identity is feasible at s = 1 alone.
+    u = random_unitary(n, np.random.default_rng([59, n]))
+    for a in (np.eye(n) / 2.0, u / 2.0):
+        t = krein_check(LFMap(a, np.zeros(n), np.zeros(n), 1.0))
+        assert abs(t / np.sqrt(1.6) - 1.0) <= 1e-12
+    assert abs(krein_check(LFMap.identity(n)) - 1.0) <= 1e-12
+
+
+def test_krein_eigh_count(monkeypatch, worked_map):
+    # one eigh of J - s H certifies a map at boundary contact; an interior
+    # maximiser takes the bracket search and its Newton steps
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    def count(phi):
+        calls.clear()
+        assert krein_check(phi) is not None
+        return len(calls)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    contact, interior = [count(worked_map)], []
+    for n in range(1, 9):
+        rng = np.random.default_rng([55, n])
+        contact += [count(phi) for phi, _ in krein_contact_maps(n, rng)]
+        interior += [count(interior_selfmap(n, rng)) for _ in range(3)]
+    assert max(contact) <= 1
+    assert np.mean(interior) <= 8.0
+
+
+def krein_reference_t(phi, dps=50):
+    """The t maximising lambda_min(J - t^2 m* J m), by golden section on
+    s = t^2 in dps-digit arithmetic, with the double coefficients taken as
+    exact.  A golden section in double precision over [0, 2 / max eig H],
+    where f falls below f(0) = -1, lands within 5e-7 (relative) of the
+    maximiser on the maps below; the dps-digit section then runs on that
+    point +- 1e-5 and must end inside it.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+
+    def golden_max(f, lo, hi, steps, ratio):
+        x1, x2 = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+        f1, f2 = f(x1), f(x2)
+        for _ in range(steps):
+            if f1 >= f2:
+                hi, x2, f2 = x2, x1, f1
+                x1 = hi - ratio * (hi - lo)
+                f1 = f(x1)
+            else:
+                lo, x1, f1 = x1, x2, f2
+                x2 = lo + ratio * (hi - lo)
+                f2 = f(x2)
+        return lo, hi
+
+    m = phi.associated_matrix()
+    j = krein_metric(phi.dim)
+    h = m.conj().T @ j @ m
+    h = (h + h.conj().T) / 2.0
+    lo, hi = golden_max(
+        lambda s: np.linalg.eigvalsh(j - s * h)[0],
+        0.0,
+        2.0 / np.linalg.eigvalsh(h)[-1],
+        200,
+        (np.sqrt(5.0) - 1.0) / 2.0,
+    )
+    with mpmath.workdps(dps):
+        mm = mp.matrix([[mp.mpc(z.real, z.imag) for z in row] for row in m])
+        jm = mp.diag([1] * phi.dim + [-1])
+        hm = mm.H * jm * mm
+        s0 = mp.mpf(0.5 * (lo + hi))
+        width = mp.mpf("1e-5") * s0
+        lo, hi = golden_max(
+            lambda s: min(mp.eighe(jm - s * hm, eigvals_only=True)),
+            s0 - width,
+            s0 + width,
+            40,
+            (mp.sqrt(5) - 1) / 2,
+        )
+        assert s0 - width < lo and hi < s0 + width
+        return float(mp.sqrt((lo + hi) / 2))
+
+
+@pytest.mark.parametrize(
+    "case", [f"interior_{n}" for n in range(1, 9)] + ["near_sphere_1e-1", "near_sphere_1e-2"]
+)
+def test_krein_matches_50_digit_maximiser(case):
+    # nearer the sphere the rounding of H = m* J m itself moves the
+    # maximiser (1e-9 relative at 1 - p = 1e-3)
+    kind, _, arg = case.rpartition("_")
+    if kind == "interior":
+        phi = interior_selfmap(int(arg), np.random.default_rng([58, int(arg)]))
+    else:
+        phi, _ = near_sphere_contraction(float(arg))
+    assert abs(krein_check(phi) / krein_reference_t(phi) - 1.0) <= 1e-11
 
 
 def test_oracle_frozen_cases(worked_map):
