@@ -174,9 +174,13 @@ def _contact_point(j: np.ndarray, h: np.ndarray, candidates: np.ndarray) -> floa
     costs one eigh at its mean s.  s is the maximiser when f(s) is 0 to
     KREIN_PSD_TOL and 0 lies in the superdifferential of f there: the
     slopes -V* H V on the kernel V of J - s H (its eigenvectors with
-    eigenvalue at most KREIN_PSD_TOL) take both signs, to KREIN_PSD_TOL
-    (Lewis and Overton, "Eigenvalue optimization", Acta Numerica 1996).  A repeated zero at an end of a feasible interval
-    (z -> z/2 has one at s = 4) has slopes of one sign and is passed over.
+    eigenvalue at most KREIN_PSD_TOL) take both signs (Lewis and Overton,
+    "Eigenvalue optimization", Acta Numerica 1996).  The slopes are
+    weighed as s times the slope, the change of f over a relative step in
+    s, against KREIN_PSD_TOL, since they shrink like 1/s.  A repeated zero
+    at an end of a feasible interval has slopes of one sign and is passed
+    over: z -> a z on B^N, N >= 2, has one at s = 1/a^2, where s times
+    each slope is -1 for every a.
     """
     c = candidates.tolist()
     first = 0
@@ -192,7 +196,7 @@ def _contact_point(j: np.ndarray, h: np.ndarray, candidates: np.ndarray) -> floa
             continue
         kernel = vec[:, lam <= KREIN_PSD_TOL]
         slopes = np.linalg.eigvalsh(-(kernel.conj().T @ h @ kernel))
-        if slopes[0] <= KREIN_PSD_TOL and slopes[-1] >= -KREIN_PSD_TOL:
+        if s * slopes[0] <= KREIN_PSD_TOL and s * slopes[-1] >= -KREIN_PSD_TOL:
             return s
     return None
 
@@ -212,14 +216,15 @@ def krein_check(phi: LFMap) -> float | None:
     by one eigh (_contact_point).  Otherwise the sign of f' at the
     candidates and at their geometric midpoints, found by bisecting the
     sorted list, brackets the maximiser.  Each step then costs one eigh:
-    a Newton step on f' from the bracket end with the flatter slope,
-    taken whenever it stays in the bracket and at most halves the last
-    step; else the intersection of the end tangents (exact at a kink
-    where two eigenvalues cross), or bisection when the bracket has not
-    halved in two steps.  A Newton step of at most _KREIN_ARGMAX_RTOL s / 4
-    ends the search at its target, which needs no further eigh.  The map
-    is feasible when max f >= -KREIN_PSD_TOL; the search stops early once
-    the end tangents put f below that.
+    a Newton step on f' from the bracket end with the flatter slope, if
+    its bottom eigenvalue is simple, taken whenever it stays in the
+    bracket and at most halves the last step; else the intersection of
+    the end tangents (exact at a kink where two eigenvalues cross), or
+    bisection when the bracket has not halved in two steps.  A Newton
+    step of at most _KREIN_ARGMAX_RTOL s / 4 ends the search at its
+    target, which needs no further eigh.  The map is feasible when max f
+    >= -KREIN_PSD_TOL; the search stops early once the end tangents put f
+    below that.
     """
     m = phi.associated_matrix()
     scale = float(np.max(np.abs(m)))
@@ -274,7 +279,10 @@ def krein_check(phi: LFMap) -> float | None:
         if lo.value + lo.slope * (s_tan - lo.s) < -KREIN_PSD_TOL:
             return None
         base = lo if lo.slope <= -hi.slope else hi
-        s_new = base.s - base.slope / base.curvature if base.curvature < 0.0 else np.nan
+        # A multiple bottom eigenvalue has no curvature (-inf or nan): f may
+        # turn there, so no Newton step, and above all no converged stop.
+        smooth = -np.inf < base.curvature < 0.0
+        s_new = base.s - base.slope / base.curvature if smooth else np.nan
         if lo.s <= s_new <= hi.s and abs(s_new - base.s) <= 0.5 * step:
             if abs(s_new - base.s) <= 0.25 * _KREIN_ARGMAX_RTOL * s_new:
                 # Converged: f at s_new exceeds f at base by O(step^2).

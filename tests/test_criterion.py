@@ -282,12 +282,13 @@ def krein_contact_maps(n, rng):
 def test_krein_certificate_at_boundary_contact(n):
     # the feasible set shrinks to one point; mu is defective when parabolic
     rng = np.random.default_rng([55, n])
-    for phi, _ in krein_contact_maps(n, rng):
+    for phi, t_star in krein_contact_maps(n, rng):
         sup, ok = oracle_is_selfmap(phi)
         assert abs(sup - 1.0) < 1e-9 and ok
         t = krein_check(phi)
         assert t is not None
         assert krein_min_eig(phi, t) >= -1e-9
+        assert abs(t / t_star - 1.0) <= 1e-12
     for _ in range(3):
         phi = interior_selfmap(n, rng)
         t = krein_check(phi)
@@ -298,21 +299,21 @@ def test_krein_certificate_at_boundary_contact(n):
         assert worst >= krein_min_eig(phi, t * (1.0 - 1e-4))
 
 
-@pytest.mark.parametrize("n", range(1, 9))
-def test_krein_contact_maximiser_matches_construction(n):
-    for phi, t_star in krein_contact_maps(n, np.random.default_rng([55, n])):
-        assert abs(krein_check(phi) / t_star - 1.0) <= 1e-12
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 8])
 def test_krein_passes_over_a_repeated_end_of_the_feasible_interval(n):
-    # z -> z/2: f(s) = min(1 - s/4, s - 1) is 0 at s = 4, a candidate
-    # repeated n times but the far end of the feasible interval [1, 4];
-    # the maximiser is s = 1.6.  The identity is feasible at s = 1 alone.
+    # z -> a z: f(s) = min(1 - a^2 s, s - 1) is 0 at s = 1/a^2, a candidate
+    # repeated n times but the far end of the feasible interval [1, 1/a^2]:
+    # its kernel slopes are all -a^2, so s times each is -1 for every a.
+    # The maximiser s = 2 / (1 + a^2) is a kink, which the search brackets
+    # to 1e-11 in s (5e-12 in t); z/2 is held to 1e-12.  At a = 1e-3 the
+    # bottom eigenvalue of J - s H is multiple at the upper end of the
+    # bracket, where no Newton step may stop the search.  The identity is
+    # feasible at s = 1 alone.
     u = random_unitary(n, np.random.default_rng([59, n]))
-    for a in (np.eye(n) / 2.0, u / 2.0):
-        t = krein_check(LFMap(a, np.zeros(n), np.zeros(n), 1.0))
-        assert abs(t / np.sqrt(1.6) - 1.0) <= 1e-12
+    for a, tol in ((0.5, 1e-12), (1e-3, 5e-12), (1e-6, 5e-12)):
+        for lin in (np.eye(n) * a, u * a):
+            t = krein_check(LFMap(lin, np.zeros(n), np.zeros(n), 1.0))
+            assert abs(t / np.sqrt(2.0 / (1.0 + a * a)) - 1.0) <= tol
     assert abs(krein_check(LFMap.identity(n)) - 1.0) <= 1e-12
 
 
