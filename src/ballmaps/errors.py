@@ -14,9 +14,10 @@ class ContractViolation(BallmapsError, ValueError):
 
 
 class SingularMatrixError(BallmapsError, ArithmeticError):
-    """Elimination hit a pivot too small to trust.
+    """An LU factorization hit a zero pivot: the matrix is singular.
 
-    The magnitude of the offending pivot is stored on ``pivot``.
+    The magnitude of the offending pivot, 0 for LAPACK, is stored on
+    ``pivot``.
     """
 
     def __init__(self, message, pivot=0.0):

@@ -1,25 +1,27 @@
 """Linear fractional maps of C^N and their associated matrices.
 
-A map phi(z) = (a z + b) / (<z, c> + d) is stored by its coefficient
-block (a, b, c, d) with a an N x N matrix, b and c vectors in C^N and d
-a scalar.  The pairing is <z, c> = sum_k z_k * conj(c_k), so the
-denominator written as a polynomial in z has coefficient row conj(c).
+A map phi(z) = (a z + b) / (<z, c> + d) has an N x N matrix a, vectors
+b and c in C^N and a scalar d.  The pairing is <z, c> = sum_k z_k *
+conj(c_k), so the denominator written as a polynomial in z has
+coefficient row conj(c).
 
 The associated matrix is the (N+1) x (N+1) block matrix
 
     [ a        b ]
     [ conj(c)  d ]
 
-and turns composition of maps into matrix multiplication.  Scalar
-multiples of the associated matrix describe the same map, and a map is
-accepted when that matrix is invertible to working precision: its
-smallest singular value exceeds (N + 1) eps times its largest, the
-default rank rule of numpy's matrix_rank.  The rule is scale-invariant.
+and turns composition of maps into matrix multiplication.  Each map owns
+one read-only copy of it, checked once when the map is built; a and b are
+views into that copy.  Scalar multiples of the associated matrix describe
+the same map, and a map is accepted when that matrix is invertible to
+working precision: its smallest singular value exceeds (N + 1) eps times
+its largest, the default rank rule of numpy's matrix_rank.  The rule is
+scale-invariant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,38 +42,51 @@ NORMALIZE_TOL = 1e-12
 class LFMap:
     """A linear fractional map with an invertible associated matrix.
 
-    The coefficients are stored as given.  DegenerateMapError is raised
-    when the associated matrix is singular to working precision (see the
-    module docstring).  Conjugating by a ball automorphism near the sphere
-    leaves a map invertible but ill-conditioned; such maps are accepted.
+    The coefficients are copied, as given, into one read-only associated
+    matrix that the map owns, so later writes to the caller's arrays do
+    not reach it.  a and b are read-only views into that matrix, c is the
+    conjugate of its bottom row and d its corner entry.  A non-finite
+    coefficient raises ContractViolation, and DegenerateMapError is raised
+    when the matrix is singular to working precision (see the module
+    docstring).  Conjugating by a ball automorphism near the sphere leaves
+    a map invertible but ill-conditioned; such maps are accepted.
     """
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
     d: complex
+    _m: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a = linalg.as_square_matrix(self.a)
-        b = linalg.as_vector(self.b)
-        c = linalg.as_vector(self.c)
-        d = complex(self.d)
+        a = np.asarray(self.a, dtype=np.complex128)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ShapeError(f"a must be a square matrix, got shape {a.shape}")
         n = a.shape[0]
+        b = np.asarray(self.b, dtype=np.complex128)
+        c = np.asarray(self.c, dtype=np.complex128)
         if b.shape != (n,) or c.shape != (n,):
             raise ShapeError(
                 f"coefficient shapes disagree: a {a.shape}, b {b.shape}, c {c.shape}"
             )
-        if not (np.isfinite(d.real) and np.isfinite(d.imag)):
-            raise ContractViolation("d must be finite")
-        for arr in (a, b, c):
-            arr.flags.writeable = False
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-        sigma = np.linalg.svd(self.associated_matrix(), compute_uv=False)
+        m = np.empty((n + 1, n + 1), dtype=np.complex128)
+        m[:n, :n] = a
+        m[:n, n] = b
+        m[n, :n] = np.conj(c)
+        m[n, n] = complex(self.d)
+        if not np.isfinite(m).all():
+            raise ContractViolation("coefficients must be finite")
+        sigma = np.linalg.svd(m, compute_uv=False)
         if sigma[-1] <= (n + 1) * np.finfo(float).eps * sigma[0]:
             raise DegenerateMapError("associated matrix is singular to working precision")
+        m.flags.writeable = False
+        c = np.conj(m[n, :n])
+        c.flags.writeable = False
+        object.__setattr__(self, "_m", m)
+        object.__setattr__(self, "a", m[:n, :n])
+        object.__setattr__(self, "b", m[:n, n])
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", complex(m[n, n]))
 
     @property
     def dim(self) -> int:
@@ -83,13 +98,8 @@ class LFMap:
         return abs(self.d) ** 2 > float(np.linalg.norm(self.c)) ** 2
 
     def associated_matrix(self) -> np.ndarray:
-        n = self.dim
-        m = np.zeros((n + 1, n + 1), dtype=np.complex128)
-        m[:n, :n] = self.a
-        m[:n, n] = self.b
-        m[n, :n] = np.conj(self.c)
-        m[n, n] = self.d
-        return m
+        """A writable copy of the associated matrix."""
+        return self._m.copy()
 
     @classmethod
     def identity(cls, n: int) -> "LFMap":
@@ -104,9 +114,12 @@ def from_associated_matrix(m) -> LFMap:
 
     The matrix is rescaled so the lower-right entry is 1 whenever that
     entry is not negligible against the largest entry; otherwise the
-    scale is kept as given.
+    scale is kept as given.  The constructor checks that the entries are
+    finite.
     """
-    m = linalg.as_square_matrix(m)
+    m = np.asarray(m, dtype=np.complex128)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ShapeError(f"expected a square matrix, got shape {m.shape}")
     n = m.shape[0] - 1
     if n < 1:
         raise ShapeError("associated matrix must be at least 2 x 2")
@@ -149,13 +162,13 @@ def compose(phi: LFMap, psi: LFMap) -> LFMap:
     """The map z -> phi(psi(z)); associated matrices multiply."""
     if phi.dim != psi.dim:
         raise ShapeError(f"cannot compose maps of dimensions {phi.dim} and {psi.dim}")
-    return from_associated_matrix(phi.associated_matrix() @ psi.associated_matrix())
+    return from_associated_matrix(phi._m @ psi._m)
 
 
 def invert(phi: LFMap) -> LFMap:
     """The inverse map, from the inverse associated matrix."""
     try:
-        m = linalg.inverse(phi.associated_matrix())
+        m = linalg.inverse(phi._m)
     except SingularMatrixError as exc:
         raise DegenerateMapError("map is not invertible") from exc
     return from_associated_matrix(m)

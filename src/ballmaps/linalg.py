@@ -1,9 +1,9 @@
 """Dense complex linear algebra kernel sized for small matrices.
 
 Everything here works on square complex128 arrays of modest dimension
-(a dozen rows or so).  Matrix products and factorizations delegate to
-numpy; inversion runs its own Gauss-Jordan elimination so that a failed
-pivot can be reported with its magnitude.  Its one caller is
+(a dozen rows or so).  Inversion, products and factorizations delegate
+to numpy and so to LAPACK; the wrappers coerce and check their input and
+raise this package's typed errors.  The one caller of inverse is
 lfm.invert: LFMap itself tests its matrix by singular values.
 """
 
@@ -12,8 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractViolation, ShapeError, SingularMatrixError
-
-PIVOT_TOL = 1e-12
 
 
 def as_vector(entries) -> np.ndarray:
@@ -44,35 +42,18 @@ def as_square_matrix(entries) -> np.ndarray:
 
 
 def inverse(a) -> np.ndarray:
-    """Invert a square matrix by Gauss-Jordan elimination with partial pivoting.
+    """Invert a square matrix by LAPACK's LU factorization (numpy's inv).
 
-    A pivot whose magnitude falls below PIVOT_TOL times the largest
-    euclidean row norm of the input raises SingularMatrixError carrying
-    that magnitude.
+    LAPACK reports a matrix singular only when a pivot of its LU factor is
+    exactly zero; that raises SingularMatrixError with pivot 0.  A matrix
+    singular only to rounding is inverted, so callers that need a
+    conditioning test make it first, as LFMap does.
     """
     a = as_square_matrix(a)
-    n = a.shape[0]
-    scale = float(np.max(np.linalg.norm(a, axis=1))) if n else 0.0
-    threshold = PIVOT_TOL * scale
-    work = np.concatenate([a.copy(), np.eye(n, dtype=np.complex128)], axis=1)
-    for j in range(n):
-        col = np.abs(work[j:, j])
-        k = j + int(np.argmax(col))
-        pivot = abs(work[k, j])
-        if pivot <= threshold:
-            raise SingularMatrixError(
-                f"pivot {pivot:.3e} below threshold {threshold:.3e} in column {j}",
-                pivot=pivot,
-            )
-        if k != j:
-            work[[j, k]] = work[[k, j]]
-        work[j] /= work[j, j]
-        # Clear column j from the other rows in one rank-one update; rows
-        # whose factor is 0 are left as they are (signed zeros included).
-        factors = work[:, j, None].copy()
-        factors[j] = 0.0
-        np.subtract(work, factors * work[j], out=work, where=factors != 0)
-    return np.ascontiguousarray(work[:, n:])
+    try:
+        return np.linalg.inv(a)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"LU factorization failed: {exc}", pivot=0.0) from exc
 
 
 def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

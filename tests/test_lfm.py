@@ -38,9 +38,72 @@ def test_constructor_validates_shapes():
     with pytest.raises(ShapeError):
         LFMap(np.eye(2), [1.0], [0.0, 0.0], 1.0)
     with pytest.raises(ShapeError):
+        LFMap(np.eye(2), [0.0, 0.0], [0.0, 0.0, 0.0], 1.0)
+    with pytest.raises(ShapeError):
         LFMap(np.ones((2, 3)), [0.0, 0.0], [0.0, 0.0], 1.0)
+    with pytest.raises(ShapeError):
+        LFMap([1.0, 0.0], [0.0, 0.0], [0.0, 0.0], 1.0)
+    with pytest.raises(ShapeError):
+        from_associated_matrix(np.ones((2, 3)))
+    with pytest.raises(ShapeError):
+        from_associated_matrix(np.ones(3))
     with pytest.raises(ContractViolation):
         LFMap(np.eye(1), [0.0], [0.0], complex(np.nan))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+@pytest.mark.parametrize("block", ["a", "b", "c", "d"])
+def test_constructor_rejects_non_finite_coefficients(worked_map, block, bad):
+    coeffs = {k: np.array(getattr(worked_map, k)) for k in "abcd"}
+    if block == "d":
+        coeffs["d"] = bad
+    else:
+        coeffs[block].flat[-1] = bad
+    with pytest.raises(ContractViolation):
+        LFMap(coeffs["a"], coeffs["b"], coeffs["c"], coeffs["d"])
+    m = worked_map.associated_matrix()
+    m[{"a": (0, 0), "b": (0, 2), "c": (2, 1), "d": (2, 2)}[block]] = bad
+    with pytest.raises(ContractViolation):
+        from_associated_matrix(m)
+
+
+def test_associated_matrix_is_the_block_matrix():
+    rng = np.random.default_rng(25)
+    for n in range(1, 9):
+        for _ in range(10):
+            a = random_complex_matrix(rng, n)
+            b, c = random_complex_matrix(rng, 2 * n)[0].reshape(2, n)
+            d = complex(rng.standard_normal(), rng.standard_normal())
+            m = np.block([[a, b[:, None]], [np.conj(c)[None, :], np.array([[d]])]])
+            assert LFMap(a, b, c, d).associated_matrix().tobytes() == m.tobytes()
+            phi = from_associated_matrix(m)
+            expected = m / m[n, n]
+            assert phi.a.tobytes() == expected[:n, :n].tobytes()
+            assert phi.b.tobytes() == expected[:n, n].tobytes()
+            assert phi.c.tobytes() == np.conj(expected[n, :n]).tobytes()
+            assert phi.d == expected[n, n]
+            assert phi.associated_matrix().tobytes() == expected.tobytes()
+
+
+def test_map_owns_its_coefficients():
+    a = np.eye(2, dtype=complex)
+    b = np.zeros(2, dtype=complex)
+    c = np.array([0.5, 0.0], dtype=complex)
+    phi = LFMap(a, b, c, 1.0)
+    before = phi.associated_matrix()
+    a[0, 0] = 5.0
+    b[1] = 2.0
+    c[0] = 3.0
+    phi.associated_matrix()[0, 0] = 7.0
+    assert phi.associated_matrix().tobytes() == before.tobytes()
+    for block in (phi.a, phi.b, phi.c):
+        assert not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[0] = 1.0
+    m = before.copy()
+    psi = from_associated_matrix(m)
+    m[0, 1] = 9.0
+    assert psi.associated_matrix().tobytes() == before.tobytes()
 
 
 def test_constructor_rejects_singular_matrix():
@@ -156,6 +219,17 @@ def test_compose_is_matrix_product():
 def test_compose_dimension_mismatch(worked_map):
     with pytest.raises(ShapeError):
         compose(worked_map, LFMap.identity(3))
+
+
+@pytest.mark.parametrize("delta", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
+def test_invert_accepts_every_map_the_constructor_accepts(delta):
+    # invert has no conditioning test of its own: LAPACK is backward
+    # stable, so the recomposition is off by about eps cond(m)
+    phi, _ = near_sphere_contraction(delta)
+    m = phi.associated_matrix()
+    both = compose(phi, invert(phi)).associated_matrix()
+    residual = np.linalg.norm(both / both[-1, -1] - np.eye(2), 2)
+    assert residual <= 4 * (phi.dim + 1) * np.finfo(float).eps * np.linalg.cond(m)
 
 
 def test_invert_round_trip(worked_map):

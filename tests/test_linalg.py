@@ -53,40 +53,27 @@ def test_inverse_matches_numpy():
             np.testing.assert_allclose(inv, np.linalg.inv(a), atol=1e-10)
 
 
-def row_by_row_inverse(a, pivot_tol=1e-12):
-    """Gauss-Jordan elimination one row at a time, the reference for inverse."""
-    n = a.shape[0]
-    threshold = pivot_tol * float(np.max(np.linalg.norm(a, axis=1)))
-    work = np.concatenate([a.copy(), np.eye(n, dtype=np.complex128)], axis=1)
-    for j in range(n):
-        k = j + int(np.argmax(np.abs(work[j:, j])))
-        if abs(work[k, j]) <= threshold:
-            return abs(work[k, j])
-        work[[j, k]] = work[[k, j]]
-        work[j] /= work[j, j]
-        for i in range(n):
-            if i != j and work[i, j] != 0:
-                work[i] -= work[i, j] * work[j]
-    return work[:, n:]
-
-
-def test_inverse_matches_row_by_row_elimination():
-    # same pivots and the same arithmetic: equal bits, signed zeros included
+def test_inverse_is_lapack():
+    # inverse adds only coercion and the typed error to numpy's LU inverse
     rng = np.random.default_rng(14)
     for n in range(1, 10):
-        for k in range(30):
+        for _ in range(30):
             a = random_complex_matrix(rng, n)
-            if k % 3 == 0:
-                a = np.triu(a.real).astype(np.complex128)
-            if k % 5 == 0 and n > 1:
-                a[1] = 2.0 * a[0]
-            expected = row_by_row_inverse(a)
-            if isinstance(expected, float):
-                with pytest.raises(SingularMatrixError) as err:
-                    inverse(a)
-                assert err.value.pivot == expected
-            else:
-                assert inverse(a).tobytes() == expected.tobytes()
+            assert inverse(a).tobytes() == np.linalg.inv(a).tobytes()
+
+
+def test_inverse_repeated_row_is_singular():
+    # LAPACK flags only an exactly zero pivot.  The power-of-two pivot in
+    # the repeated row makes the multiplier of its copy exactly 1, so the
+    # copy is eliminated to an exactly zero row.
+    rng = np.random.default_rng(15)
+    for n in range(2, 10):
+        a = random_complex_matrix(rng, n)
+        a[0, 0] = 64.0
+        a[-1] = a[0]
+        with pytest.raises(SingularMatrixError) as err:
+            inverse(a)
+        assert err.value.pivot == 0.0
 
 
 def test_inverse_singular_reports_pivot():
