@@ -20,6 +20,7 @@ Bisi and Bracci 2002).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -35,16 +36,19 @@ from .lfm import LFMap, evaluate_batch, from_associated_matrix
 ROW_REL_TOL = 1e-10
 ORACLE_TOL = 1e-9
 KREIN_PSD_TOL = 1e-10
-# krein_check takes sorted candidates within _KREIN_CLUSTER_RTOL (relative)
-# of their neighbour as one repeated zero of det(J - s H), split by rounding
-# (measured on check-mixed seeds 1-60 and the Siegel maps of the tests: at
-# most 3e-7 at boundary contact, at least 1.3e-4 between other neighbours).
-# It locates any other maximiser to _KREIN_ARGMAX_RTOL (relative): the
-# bracket narrows to that width, or a Newton step of at most a quarter of it
-# ends the search.  It doubles s at most _KREIN_MAX_DOUBLINGS times past the
-# last candidate.
+# krein_check takes mu with |Im mu| <= _KREIN_CLUSTER_RTOL |mu| as real and
+# sorted candidates within _KREIN_CLUSTER_RTOL (relative) of each other as
+# one repeated zero, both split by rounding (check-mixed seeds 1-60 and the
+# tests' Siegel maps: at most 3e-7 at contact, at least 1.3e-4 elsewhere).
+# A Newton step ends the search at its target if it is at most
+# _KREIN_ARGMAX_RTOL / 4, or at most _KREIN_QUADRATIC_RTOL and
+# _KREIN_QUADRATIC_RATIO of the step before (quadratic convergence then
+# leaves about ratio^2 times the step, 1e-13 s); else the bracket narrows to
+# _KREIN_ARGMAX_RTOL.  s doubles at most _KREIN_MAX_DOUBLINGS times.
 _KREIN_CLUSTER_RTOL = 1e-5
 _KREIN_ARGMAX_RTOL = 1e-11
+_KREIN_QUADRATIC_RTOL = 1e-7
+_KREIN_QUADRATIC_RATIO = 1e-3
 _KREIN_MAX_DOUBLINGS = 64
 SAMPLE_CHUNK = 4096
 # classify_fixed_point, for unit vectors: a J-form above _FORM_TOL lies
@@ -129,7 +133,8 @@ def _ellipsoid_rows(phi: LFMap, ell: EllipsoidImage):
 
 
 class _PencilPoint(NamedTuple):
-    """lambda_min(J - s H) at s with its first two derivatives in s."""
+    """lambda_min(J - s H) at s with its first two derivatives in s; the
+    curvature is nan at the interval ends read off eig(J H)."""
 
     s: float
     value: float
@@ -165,28 +170,24 @@ def _narrow(lo: _PencilPoint, hi: _PencilPoint | None, x: _PencilPoint):
     return x, x
 
 
-def _contact_point(j: np.ndarray, h: np.ndarray, candidates: np.ndarray) -> float | None:
-    """The maximiser s of f(s) = lambda_min(J - s H) at boundary contact.
+def _contact_point(j: np.ndarray, h: np.ndarray, c: list, last: int) -> float | None:
+    """The maximiser s of f(s) = lambda_min(J - s H) at boundary contact, or None.
 
-    There f <= 0 touches 0 at one point, a repeated zero of det(J - s H),
-    which rounding splits into a run of sorted candidates within
-    _KREIN_CLUSTER_RTOL of each other.  Each run, in ascending order,
-    costs one eigh at its mean s.  s is the maximiser when f(s) is 0 to
-    KREIN_PSD_TOL and 0 lies in the superdifferential of f there: the
-    slopes -V* H V on the kernel V of J - s H (its eigenvectors with
-    eigenvalue at most KREIN_PSD_TOL) take both signs (Lewis and Overton,
-    "Eigenvalue optimization", Acta Numerica 1996).  The slopes are
-    weighed as s times the slope, the change of f over a relative step in
-    s, against KREIN_PSD_TOL, since they shrink like 1/s.  A repeated zero
-    at an end of a feasible interval has slopes of one sign and is passed
-    over: z -> a z on B^N, N >= 2, has one at s = 1/a^2, where s times
-    each slope is -1 for every a.
+    There f <= 0 touches 0 at a repeated zero of det(J - s H), which
+    rounding splits into a run of the sorted candidates c.  Each run that
+    begins at index last or before costs one eigh at its mean s, accepted
+    when f(s) is 0 to KREIN_PSD_TOL and s times the slopes -V* H V on the
+    kernel V take both signs: 0 is then a supergradient (Lewis and
+    Overton, "Eigenvalue optimization", Acta Numerica 1996).  A repeated
+    zero at an end of a feasible interval has slopes of one sign: z -> a z
+    on B^N, N >= 2, at s = 1/a^2, where s times each slope is -1.
     """
-    c = candidates.tolist()
     first = 0
     for k in range(1, len(c) + 1):
         if k < len(c) and c[k] - c[k - 1] <= _KREIN_CLUSTER_RTOL * c[k]:
             continue
+        if first > last:
+            break
         run, first = c[first:k], k
         if len(run) < 2:
             continue
@@ -204,27 +205,32 @@ def _contact_point(j: np.ndarray, h: np.ndarray, candidates: np.ndarray) -> floa
 def krein_check(phi: LFMap) -> float | None:
     """The t > 0 maximising lambda_min(J - t^2 m* J m), or None if infeasible.
 
-    With m normalised by max|m| and s = t^2 max|m|^2 the matrix is
-    J - s H, H = m* J m, so nothing in the search depends on the
-    scale of the coefficients.  f(s) = lambda_min(J - s H) is concave with
-    f(0) = -1, and J - s H is singular exactly at s = 1/mu for the
-    eigenvalues mu of J H, so the zeros of f are among those points.  The
-    real parts of the mu with Re mu > 0 are taken: a defective mu
-    (parabolic boundary contact) splits into a near-real complex pair.
+    With m normalised by max|m| and s = t^2 max|m|^2 the matrix is J - s H,
+    H = m* J m, so nothing here depends on the scale of the coefficients.
+    f(s) = lambda_min(J - s H) is concave with f(0) = -1.  One eig of J H
+    gives the zeros s = 1/mu of det(J - s H), mu > 0 real, and the J-form
+    x* J x of each unit eigenvector x: the eigenvalue of J - s H crossing
+    0 there has slope -x* H x = -mu x* J x.  These signs, the sign
+    characteristic of the pencil (Gohberg, Lancaster and Rodman,
+    "Indefinite Linear Algebra and Its Applications", 2005), count the
+    negative eigenvalues of J - s H up from 1 at s = 0+; a non-real mu has
+    a J-neutral eigenvector and crosses nothing.  The feasible interval
+    [s1, s2] opens where the count reaches 0 and closes at the next
+    candidate; if the count never reaches 0, no eigh is needed to say
+    None.  J H is selfadjoint in the form of J, which has one negative
+    square, so in exact arithmetic the map is feasible exactly when the
+    largest real mu > 0 has negative type.
 
-    At boundary contact the maximiser is a repeated candidate, certified
-    by one eigh (_contact_point).  Otherwise the sign of f' at the
-    candidates and at their geometric midpoints, found by bisecting the
-    sorted list, brackets the maximiser.  Each step then costs one eigh:
-    a Newton step on f' from the bracket end with the flatter slope, if
-    its bottom eigenvalue is simple, taken whenever it stays in the
-    bracket and at most halves the last step; else the intersection of
-    the end tangents (exact at a kink where two eigenvalues cross), or
-    bisection when the bracket has not halved in two steps.  A Newton
-    step of at most _KREIN_ARGMAX_RTOL s / 4 ends the search at its
-    target, which needs no further eigh.  The map is feasible when max f
-    >= -KREIN_PSD_TOL; the search stops early once the end tangents put f
-    below that.
+    At boundary contact f only touches 0, at a repeated candidate with
+    rounding-sized forms, so the runs up to s1 go first (_contact_point).
+    Else f is 0 at both ends of [s1, s2] with known slopes, and the polish
+    starts, with no eigh, where their tangents meet.  Each later point is
+    a Newton step on f' from the end with the flatter slope, if its bottom
+    eigenvalue is simple and the step stays in the bracket and at most
+    halves the last one; else the tangents' intersection (exact at a
+    kink), or bisection when the bracket has not halved in two steps.
+    Rounding of H can lose s2 near the sphere; then s doubles from s1
+    until f turns.  Feasible means max f >= -KREIN_PSD_TOL.
     """
     m = phi.associated_matrix()
     scale = float(np.max(np.abs(m)))
@@ -233,38 +239,27 @@ def krein_check(phi: LFMap) -> float | None:
     j = krein_metric(n)
     h = m.conj().T @ j @ m
     h = (h + h.conj().T) / 2.0
-    # J has its only negative eigenvalue -1 on e_n, so f'(0) = -H[n, n];
-    # a map sending 0 outside the open ball has f <= -1 throughout.
-    lo = _PencilPoint(0.0, -1.0, -float(h[n, n].real), 0.0)
-    if lo.slope <= 0.0:
-        return None
-    mu = np.linalg.eigvals(j @ h).real
-    candidates = np.sort(1.0 / mu[mu > 0.0])
-    if candidates.size == 0:
-        return None
-    s_contact = _contact_point(j, h, candidates)
+    mu, vec = np.linalg.eig(j @ h)
+    # s = 1/mu and the slope -mu x* J x of the eigenvalue crossing 0 there
+    crossings = sorted(
+        (1.0 / z.real, -z.real * form)
+        for z, form in zip(mu.tolist(), (j.diagonal().real @ np.abs(vec) ** 2).tolist())
+        if z.real > 0.0 and abs(z.imag) <= _KREIN_CLUSTER_RTOL * abs(z)
+    )
+    # The count of negative eigenvalues of J - s H, 1 just above s = 0: an
+    # eigenvalue rising through 0 (a negative form) leaves it.
+    counts = list(accumulate(((g < 0.0) - (g > 0.0) for _, g in crossings), initial=1))
+    k = counts.index(0) - 1 if 0 in counts else len(crossings)
+    s_contact = _contact_point(j, h, [s for s, _ in crossings], k)
     if s_contact is not None:
         return float(np.sqrt(s_contact) / scale)
-    roots = np.unique(candidates)
-    points = np.empty(2 * roots.size - 1)
-    points[0::2] = roots
-    points[1::2] = np.sqrt(roots[:-1] * roots[1:])
-    hi = None
-    first, last = 0, points.size - 1
-    while first <= last:
-        k = (first + last) // 2
-        x = _pencil_point(j, h, float(points[k]))
-        lo, hi = _narrow(lo, hi, x)
-        if lo is hi:
-            break
-        if lo is x:
-            first = k + 1
-        else:
-            last = k - 1
-    # Past the last candidate f can only rise by rounding: H is exact only
-    # to about (n + 1) eps, and a map near the sphere can lose a candidate
-    # to it.  Double s while the slope stands above that, a bounded number
-    # of times, and keep the last point if it never turns.
+    if k == len(crossings):
+        return None
+    # f is 0 at both ends, with the slope of the eigenvalue crossing there
+    ends = [_PencilPoint(s, 0.0, g, np.nan) for s, g in crossings[k : k + 2]]
+    lo, hi = ends[0], ends[1] if len(ends) == 2 else None
+    # With s2 lost, f can rise past s1 only by rounding: H is exact to about
+    # (n + 1) eps.  Double s while the slope stands above that.
     for _ in range(_KREIN_MAX_DOUBLINGS):
         if hi is not None or lo.slope <= (n + 1) * np.finfo(float).eps:
             break
@@ -276,15 +271,17 @@ def krein_check(phi: LFMap) -> float | None:
     best = None
     while hi.s - lo.s > _KREIN_ARGMAX_RTOL * hi.s:
         s_tan = (hi.value - lo.value + lo.slope * lo.s - hi.slope * hi.s) / (lo.slope - hi.slope)
-        if lo.value + lo.slope * (s_tan - lo.s) < -KREIN_PSD_TOL:
-            return None
         base = lo if lo.slope <= -hi.slope else hi
         # A multiple bottom eigenvalue has no curvature (-inf or nan): f may
         # turn there, so no Newton step, and above all no converged stop.
         smooth = -np.inf < base.curvature < 0.0
         s_new = base.s - base.slope / base.curvature if smooth else np.nan
-        if lo.s <= s_new <= hi.s and abs(s_new - base.s) <= 0.5 * step:
-            if abs(s_new - base.s) <= 0.25 * _KREIN_ARGMAX_RTOL * s_new:
+        newton = abs(s_new - base.s)
+        if lo.s <= s_new <= hi.s and newton <= 0.5 * step:
+            if newton <= 0.25 * _KREIN_ARGMAX_RTOL * s_new or (
+                newton <= _KREIN_QUADRATIC_RTOL * s_new
+                and newton <= _KREIN_QUADRATIC_RATIO * step
+            ):
                 # Converged: f at s_new exceeds f at base by O(step^2).
                 best = base._replace(s=s_new)
                 break
@@ -292,9 +289,9 @@ def krein_check(phi: LFMap) -> float | None:
             s_new = s_tan
             if not (lo.s <= s_new <= hi.s and widths[-1] <= 0.5 * widths[-3]):
                 s_new = 0.5 * (lo.s + hi.s)
-        # Stay clear of the ends, so that a converged step lands across
-        # the maximiser and closes the bracket.
-        margin = 0.25 * _KREIN_ARGMAX_RTOL * hi.s
+        # Stay clear of the ends, so that a converged step lands across the
+        # maximiser and closes the bracket (relative to s_new: s2 may be far).
+        margin = 0.25 * _KREIN_ARGMAX_RTOL * s_new
         s_new = min(max(s_new, lo.s + margin), hi.s - margin)
         step = abs(s_new - base.s)
         lo, hi = _narrow(lo, hi, _pencil_point(j, h, s_new))

@@ -62,8 +62,8 @@ class BallAutomorphism:
     rotation: np.ndarray
 
     def __post_init__(self):
-        alpha = linalg.as_vector(self.alpha)
-        rot = linalg.as_square_matrix(self.rotation)
+        alpha = linalg.as_vector(self.alpha).copy()
+        rot = linalg.as_square_matrix(self.rotation).copy()
         if rot.shape[0] != alpha.shape[0]:
             raise ShapeError(
                 f"rotation shape {rot.shape} does not match alpha length {alpha.shape[0]}"
@@ -129,8 +129,8 @@ class EllipsoidImage:
     shape: np.ndarray
 
     def __post_init__(self):
-        center = linalg.as_vector(self.center)
-        shape = linalg.as_square_matrix(self.shape)
+        center = linalg.as_vector(self.center).copy()
+        shape = linalg.as_square_matrix(self.shape).copy()
         if shape.shape[0] != center.shape[0]:
             raise ShapeError(
                 f"shape matrix {shape.shape} does not match center length {center.shape[0]}"

@@ -317,9 +317,18 @@ def test_krein_passes_over_a_repeated_end_of_the_feasible_interval(n):
     assert abs(krein_check(LFMap.identity(n)) - 1.0) <= 1e-12
 
 
-def test_krein_eigh_count(monkeypatch, worked_map):
-    # one eigh of J - s H certifies a map at boundary contact; an interior
-    # maximiser takes the bracket search and its Newton steps
+def nonself_map(n, rng):
+    """psi o L o psi with psi a ball involution and ||L|| in [1.1, 1.6]."""
+    psi = involution_map(ball_point(n, rng, 0.05, 0.5))
+    sv = rng.uniform(0.2, 0.9, n)
+    sv[rng.integers(n)] = rng.uniform(1.1, 1.6)
+    lin = random_unitary(n, rng) @ np.diag(sv) @ random_unitary(n, rng)
+    return compose(psi, compose(LFMap(lin, np.zeros(n), np.zeros(n), 1.0), psi))
+
+
+@pytest.fixture
+def count_eigh(monkeypatch):
+    """krein_check on a map, with the number of eigh calls it made."""
     calls = []
     eigh = np.linalg.eigh
 
@@ -327,19 +336,54 @@ def test_krein_eigh_count(monkeypatch, worked_map):
         calls.append(a.shape)
         return eigh(a, *args, **kwargs)
 
-    def count(phi):
+    def run(phi):
         calls.clear()
-        assert krein_check(phi) is not None
-        return len(calls)
+        t = krein_check(phi)
+        return t, len(calls)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    contact, interior = [count(worked_map)], []
+    return run
+
+
+def test_krein_eigh_count(count_eigh, worked_map):
+    # one eigh of J - s H certifies a map at boundary contact; an interior
+    # maximiser takes the polish inside the interval read off eig(J H); a
+    # non-self-map is known infeasible from that eig alone
+    contact, interior = [count_eigh(worked_map)], []
     for n in range(1, 9):
         rng = np.random.default_rng([55, n])
-        contact += [count(phi) for phi, _ in krein_contact_maps(n, rng)]
-        interior += [count(interior_selfmap(n, rng)) for _ in range(3)]
-    assert max(contact) <= 1
-    assert np.mean(interior) <= 8.0
+        contact += [count_eigh(phi) for phi, _ in krein_contact_maps(n, rng)]
+        interior += [count_eigh(interior_selfmap(n, rng)) for _ in range(3)]
+        assert count_eigh(nonself_map(n, np.random.default_rng([61, n]))) == (None, 0)
+    assert all(t is not None for t, _ in contact + interior)
+    assert max(calls for _, calls in contact) <= 1
+    assert np.mean([calls for _, calls in interior]) <= 4.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_krein_skips_a_repeated_candidate_past_the_interval(count_eigh, n):
+    # z -> z/2 has its candidate s = 4 repeated n times, the far end of the
+    # feasible interval [1, 4] that the walk has opened at s = 1: no eigh
+    # is spent on it, so z/2 costs what a simple candidate there costs
+    half = count_eigh(LFMap(np.eye(n) / 2, np.zeros(n), np.zeros(n), 1.0))
+    u = random_unitary(n, np.random.default_rng([62, n]))
+    small = count_eigh(LFMap(1e-3 * u, np.zeros(n), np.zeros(n), 1.0))
+    assert half[0] is not None and small[0] is not None
+    assert half[1] == small[1]
+
+
+def test_krein_non_real_eigenvalues_are_not_crossings():
+    # J H has a complex pair with Re mu > 0 whose eigenvectors have J-forms
+    # of rounding size and either sign; counted as crossings, they would
+    # open a feasible interval for this map with sup 1.17
+    phi = random_selfmap_shaped(2, np.random.default_rng([99, 21]), 1.1719982717223183)
+    assert not oracle_is_selfmap(phi)[1]
+    m = phi.associated_matrix()
+    m = m / np.max(np.abs(m))
+    h = m.conj().T @ krein_metric(2) @ m
+    mu = np.linalg.eigvals(krein_metric(2) @ h)
+    assert np.sum((mu.real > 0.0) & (np.abs(mu.imag) > 1e-3)) == 2
+    assert krein_check(phi) is None
 
 
 def krein_reference_t(phi, dps=50):

@@ -114,6 +114,28 @@ def test_automorphism_validation():
         BallAutomorphism(ALPHA, np.eye(3))
 
 
+def test_automorphism_and_ellipsoid_own_their_arrays():
+    # complex128 input is not coerced, so without a copy the object would
+    # freeze the caller's own arrays
+    alpha = np.array([0.3, 0.1], dtype=complex)
+    rotation = np.eye(2, dtype=complex)
+    aut = BallAutomorphism(alpha, rotation)
+    center = np.array([0.1, 0.2], dtype=complex)
+    shape = 0.5 * np.eye(2, dtype=complex)
+    ell = EllipsoidImage(center, shape)
+    for given in (alpha, rotation, center, shape):
+        assert given.flags.writeable
+        given[0] = 0.2
+    np.testing.assert_array_equal(aut.alpha, [0.3, 0.1])
+    np.testing.assert_array_equal(aut.rotation, np.eye(2))
+    np.testing.assert_array_equal(ell.center, [0.1, 0.2])
+    np.testing.assert_array_equal(ell.shape, 0.5 * np.eye(2))
+    for own in (aut.alpha, aut.rotation, ell.center, ell.shape):
+        assert not own.flags.writeable
+        with pytest.raises(ValueError):
+            own[0] = 1.0
+
+
 def test_automorphism_to_lfmap_matches_direct_eval():
     rng = np.random.default_rng(34)
     for _ in range(25):
