@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DegenerateMapError
-from .lfm import LFMap, compose, from_associated_matrix
+from .errors import DegenerateMapError, ShapeError
+from .lfm import LFMap, from_associated_matrix
 
 PIVOT_TOL = 1e-12
 
@@ -173,9 +173,21 @@ def factors_to_maps(factors: BruhatFactors) -> list[FactorMap]:
 
 
 def compose_factor_maps(factor_maps) -> LFMap:
-    """Fold a factor list back into a single map."""
+    """Fold a factor list back into a single map.
+
+    The factors' associated matrices are multiplied left to right and the
+    product becomes one map, built and checked once by
+    from_associated_matrix.  No map is built for a partial product, so an
+    ill-conditioned partial product raises no DegenerateMapError; only the
+    folded map must be invertible to working precision.  Factors of
+    different dimension raise ShapeError.
+    """
     maps = [f.map for f in factor_maps]
-    result = maps[0]
-    for nxt in maps[1:]:
-        result = compose(result, nxt)
-    return result
+    m = maps[0]._m
+    for phi in maps[1:]:
+        if phi.dim != maps[0].dim:
+            raise ShapeError(
+                f"cannot compose maps of dimensions {maps[0].dim} and {phi.dim}"
+            )
+        m = m @ phi._m
+    return from_associated_matrix(m)

@@ -19,12 +19,14 @@ Bisi and Bracci 2002).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 
+from .errors import ContractViolation
 from .geometry import (
     EllipsoidImage,
     ellipsoid_sup_norm,
@@ -119,8 +121,11 @@ def row_criterion(phi: LFMap) -> tuple[np.ndarray, float, np.ndarray]:
 def _ellipsoid_rows(phi: LFMap, ell: EllipsoidImage):
     """row_criterion on the given image ellipsoid of phi, which check()
     shares with the oracle.  For an affine map (c = 0) the ellipsoid has
-    center b/d and shape a/d, and rhs = |d|^4."""
-    scale = (abs(phi.d) ** 2 - float(np.linalg.norm(phi.c)) ** 2) ** 2
+    center b/d and shape a/d, and rhs = |d|^4.
+
+    Both sides are stated at the coefficients' own scale, so coefficients
+    too large for that (about 1e77 and up) raise ContractViolation.
+    """
     center = ell.center
     rows = np.conj(ell.shape)
     c2 = float(np.vdot(center, center).real)
@@ -129,6 +134,16 @@ def _ellipsoid_rows(phi: LFMap, ell: EllipsoidImage):
         r = rows[i, :]
         lhs[i] = c2 + float(np.vdot(r, r).real) - 2.0 * float(np.vdot(r, center).real)
     verdicts = lhs <= 1.0 + ROW_REL_TOL
+    try:
+        scale = (abs(phi.d) ** 2 - float(np.linalg.norm(phi.c)) ** 2) ** 2
+    except OverflowError:
+        scale = math.inf
+    if not math.isfinite(scale * max(1.0, float(lhs.max()))):
+        raise ContractViolation(
+            "row test: its rows are stated at the coefficients' scale, where "
+            "(|d|^2 - |c|^2)^2 times them overflows; divide the coefficients "
+            "by a common factor"
+        )
     return lhs * scale, float(scale), verdicts
 
 

@@ -16,11 +16,17 @@ views into that copy.  Scalar multiples of the associated matrix describe
 the same map, and a map is accepted when that matrix is invertible to
 working precision: its smallest singular value exceeds (N + 1) eps times
 its largest, the default rank rule of numpy's matrix_rank.  The rule is
-scale-invariant.
+scale-invariant, and one private method applies it, whether the map is
+built from its coefficients (LFMap) or from a matrix
+(from_associated_matrix, which compose, invert and the Bruhat fold use).
+Only the map that is returned is checked: a product of several matrices
+is checked once, so an ill-conditioned partial product along the way
+raises nothing.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +42,7 @@ from . import linalg
 
 POLE_TOL = 1e-14
 NORMALIZE_TOL = 1e-12
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -74,10 +81,20 @@ class LFMap:
         m[:n, n] = b
         m[n, :n] = np.conj(c)
         m[n, n] = complex(self.d)
+        self._own(m)
+
+    def _own(self, m: np.ndarray) -> None:
+        """Check m and make it this map's associated matrix.
+
+        m is a square complex array that no one else holds; it becomes
+        read-only and a, b, c and d are read from it.  This is the one
+        place where the finite test and the invertibility rule live.
+        """
+        n = m.shape[0] - 1
         if not np.isfinite(m).all():
             raise ContractViolation("coefficients must be finite")
         sigma = np.linalg.svd(m, compute_uv=False)
-        if sigma[-1] <= (n + 1) * np.finfo(float).eps * sigma[0]:
+        if sigma[-1] <= (n + 1) * _EPS * sigma[0]:
             raise DegenerateMapError("associated matrix is singular to working precision")
         m.flags.writeable = False
         c = np.conj(m[n, :n])
@@ -94,8 +111,13 @@ class LFMap:
 
     @property
     def pole_free_on_ball(self) -> bool:
-        """True when every pole lies outside the closed unit ball."""
-        return abs(self.d) ** 2 > float(np.linalg.norm(self.c)) ** 2
+        """True when every pole lies outside the closed unit ball.
+
+        That is |c| < |d|, with |c| from math.hypot, which neither
+        overflows nor underflows: the answer is the same at any scale of
+        the coefficients, and the tie |c| = |d| stays exact for one entry.
+        """
+        return math.hypot(*np.abs(self.c).tolist()) < abs(self.d)
 
     def associated_matrix(self) -> np.ndarray:
         """A writable copy of the associated matrix."""
@@ -110,12 +132,15 @@ class LFMap:
 
 
 def from_associated_matrix(m) -> LFMap:
-    """Rebuild a map from its associated matrix.
+    """Build a map straight from its associated matrix.
 
     The matrix is rescaled so the lower-right entry is 1 whenever that
     entry is not negligible against the largest entry; otherwise the
-    scale is kept as given.  The constructor checks that the entries are
-    finite.
+    scale is kept as given.  Either way the map owns a fresh copy, so
+    later writes to m do not reach it.  The copy is checked as LFMap
+    checks its coefficients, once: a matrix that is a product, as in
+    compose or compose_factor_maps, is checked as a whole and its
+    factors' partial products are not.
     """
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -123,11 +148,12 @@ def from_associated_matrix(m) -> LFMap:
     n = m.shape[0] - 1
     if n < 1:
         raise ShapeError("associated matrix must be at least 2 x 2")
-    scale = float(np.max(np.abs(m)))
+    scale = float(np.abs(m).max())
     d = m[n, n]
-    if abs(d) > NORMALIZE_TOL * scale:
-        m = m / d
-    return LFMap(m[:n, :n], m[:n, n], np.conj(m[n, :n]), m[n, n])
+    m = m / d if abs(d) > NORMALIZE_TOL * scale else m.copy()
+    phi = object.__new__(LFMap)
+    phi._own(m)
+    return phi
 
 
 def evaluate(phi: LFMap, z) -> np.ndarray:

@@ -5,14 +5,18 @@ import pytest
 
 from ballmaps import (
     DegenerateMapError,
+    LFMap,
     PoleError,
+    ShapeError,
     bruhat_factorize,
+    compose,
     compose_factor_maps,
     factors_to_maps,
     from_associated_matrix,
     permutation_to_transpositions,
     transposition_matrix,
 )
+from ballmaps.bruhat import FactorMap
 
 from conftest import random_ball_point, random_complex_matrix
 
@@ -131,3 +135,44 @@ def test_factor_maps_recompose_pointwise():
             np.testing.assert_allclose(rebuilt(z), expected, atol=1e-8)
             checked += 1
     assert checked > 100
+
+
+def test_compose_factor_maps_is_the_matrix_product():
+    # one map from the product of the factors' matrices, which agrees with
+    # folding the factors with compose to rounding
+    rng = np.random.default_rng(46)
+    for _ in range(20):
+        n = int(rng.integers(1, 6))
+        pieces = factors_to_maps(bruhat_factorize(random_complex_matrix(rng, n + 1)))
+        folded = compose_factor_maps(pieces)
+        prod = pieces[0].map.associated_matrix()
+        step = pieces[0].map
+        for f in pieces[1:]:
+            prod = prod @ f.map.associated_matrix()
+            step = compose(step, f.map)
+        expected = prod / prod[n, n]
+        assert folded.associated_matrix().tobytes() == expected.tobytes()
+        np.testing.assert_allclose(
+            folded.associated_matrix(), step.associated_matrix(), rtol=0.0, atol=1e-12
+        )
+
+
+def test_compose_factor_maps_single_factor():
+    phi = LFMap(np.diag([1.0, 2.0]), [1.0, 0.0], [0.0, 0.0], 3.0)
+    folded = compose_factor_maps([FactorMap("multilinear", None, phi)])
+    expected = phi.associated_matrix() / 3.0
+    assert folded.associated_matrix().tobytes() == expected.tobytes()
+    z = np.array([0.3, -0.2j])
+    np.testing.assert_allclose(folded(z), phi(z), rtol=0.0, atol=1e-15)
+    (only,) = factors_to_maps(bruhat_factorize(np.eye(3)))
+    same = compose_factor_maps([only])
+    assert same.associated_matrix().tobytes() == only.map.associated_matrix().tobytes()
+
+
+def test_compose_factor_maps_rejects_mixed_dimensions():
+    pieces = [
+        FactorMap("multilinear", None, LFMap.identity(2)),
+        FactorMap("multilinear", None, LFMap.identity(3)),
+    ]
+    with pytest.raises(ShapeError):
+        compose_factor_maps(pieces)

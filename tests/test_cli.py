@@ -126,6 +126,22 @@ def test_supnorm_command(capsys, worked_file):
     assert abs(json.loads(out)["sup"] - 1.0) < 1e-9
 
 
+def test_check_refuses_coefficients_too_large_for_its_rows(capsys, tmp_path):
+    # the rows are stated at the coefficients' scale, which passes 1e308
+    # at 1e80; the exact sup needs no such scale
+    big = tmp_path / "big.json"
+    big.write_text(
+        json.dumps({k: np.multiply(v, 1e80).tolist() if k != "N" else v for k, v in WORKED.items()})
+    )
+    code, out, err = run_cli(capsys, ["check", str(big)])
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "malformed_input"
+    code, out, _ = run_cli(capsys, ["supnorm", str(big)])
+    assert code == 0
+    assert abs(json.loads(out)["sup"] - 1.0) < 1e-9
+
+
 def test_decompose_command(capsys, tmp_path, worked_file):
     code, out, _ = run_cli(capsys, ["decompose", worked_file])
     assert code == 0

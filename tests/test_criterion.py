@@ -5,6 +5,7 @@ import pytest
 
 from ballmaps import (
     BallAutomorphism,
+    ContractViolation,
     DegenerateMapError,
     LFMap,
     PoleError,
@@ -93,6 +94,25 @@ def test_worked_rows(worked_map):
     assert abs(rhs - 64.0) < 1e-9
     np.testing.assert_allclose(lhs, [64.0, 48.0], atol=1e-9)
     assert ok.tolist() == [True, True]
+
+
+def test_rows_are_stated_at_the_coefficients_scale(worked_map):
+    # rows and rhs scale as |d|^4: at 1e40 they are 1e160 times the
+    # unit-scale ones, at 1e80 they would pass 1e308 and the test refuses
+    def scaled(s):
+        return LFMap(worked_map.a * s, worked_map.b * s, worked_map.c * s, worked_map.d * s)
+
+    lhs, rhs, ok = row_criterion(scaled(1e40))
+    np.testing.assert_allclose(lhs, np.array([64.0, 48.0]) * 1e160, rtol=1e-15)
+    assert abs(rhs - 64e160) <= 1e-15 * 64e160
+    assert ok.tolist() == [True, True]
+    for s in (1e77, 1e80, 1e160):
+        with pytest.raises(ContractViolation):
+            row_criterion(scaled(s))
+        with pytest.raises(ContractViolation):
+            check(scaled(s))
+        sup, verdict = oracle_is_selfmap(scaled(s))
+        assert abs(sup - 1.0) <= 4e-16 and verdict
 
 
 def test_automorphism_rows_sit_on_the_bound():

@@ -1,11 +1,12 @@
-"""LAPACK calls per check() on the benchmark's own check-mixed maps.
+"""LAPACK calls on the benchmark's own check-mixed and factor-pullback maps.
 
-The benchmark times check() on these maps, so a change that adds
-eigendecompositions to it (a search brought back beside the Krein walk,
-say) shows up in the benchmark's throughput.  This test catches it in the
-unit tests already: it counts the numpy.linalg decompositions that one
-check() makes, by kind of map, against ceilings about 10 % above the
-counts of the current code.  It only reads benchmark/gen.py.
+The benchmark times check() and the composition calculus on these maps,
+so a change that adds decompositions to them (a search brought back
+beside the Krein walk, or a fold that checks every partial product, say)
+shows up in the benchmark's throughput.  These tests catch it in the unit
+tests already: they count the numpy.linalg decompositions that one
+operation makes against ceilings a little above the counts of the
+current code.  They only read benchmark/gen.py.
 """
 
 import collections
@@ -14,7 +15,15 @@ from pathlib import Path
 
 import numpy as np
 
-from ballmaps import LFMap, check
+from ballmaps import (
+    LFMap,
+    bruhat_factorize,
+    check,
+    compose,
+    compose_factor_maps,
+    factors_to_maps,
+    invert,
+)
 
 GEN = Path(__file__).resolve().parents[1] / "benchmark" / "gen.py"
 COUNTED = ("eigh", "eig", "eigvals", "eigvalsh", "svd")
@@ -31,7 +40,8 @@ def load_gen():
     return module
 
 
-def test_check_lapack_calls_per_kind(monkeypatch):
+def count_calls(monkeypatch) -> collections.Counter:
+    """Count calls to the COUNTED numpy.linalg functions from now on."""
     calls = collections.Counter()
     for name in COUNTED:
         original = getattr(np.linalg, name)
@@ -41,12 +51,21 @@ def test_check_lapack_calls_per_kind(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+def as_map(entry) -> LFMap:
+    m, n = entry["m"], entry["n"]
+    return LFMap(m[:n, :n], m[:n, n], np.conj(m[n, :n]), m[n, n])
+
+
+def test_check_lapack_calls_per_kind(monkeypatch):
+    calls = count_calls(monkeypatch)
     gen = load_gen()
     per_kind = collections.defaultdict(list)
     for seed in (1, 2, 3):
         for entry in gen.check_mixed(seed):
-            m, n = entry["m"], entry["n"]
-            phi = LFMap(m[:n, :n], m[:n, n], np.conj(m[n, :n]), m[n, n])
+            phi = as_map(entry)
             calls.clear()
             report = check(phi)
             per_kind[entry["kind"]].append(sum(calls.values()))
@@ -55,3 +74,19 @@ def test_check_lapack_calls_per_kind(monkeypatch):
     for kind, counts in per_kind.items():
         assert np.mean(counts) <= CEILING[kind], (kind, np.mean(counts))
 
+
+def test_composition_calculus_svd_calls(monkeypatch):
+    # Each map the calculus returns is checked by one SVD: one per factor,
+    # one for the fold, the inverse and the composition phi o phi^-1.  A
+    # fold that builds a map for every partial product makes
+    # 2 len(pieces) + 1.
+    calls = count_calls(monkeypatch)
+    gen = load_gen()
+    for seed in (1, 2, 3):
+        for entry in gen.factor_pullback(seed):
+            phi = as_map(entry)
+            calls.clear()
+            pieces = factors_to_maps(bruhat_factorize(phi.associated_matrix()))
+            compose_factor_maps(pieces)
+            compose(phi, invert(phi))
+            assert calls["svd"] <= len(pieces) + 3, (seed, entry["n"], len(pieces), calls["svd"])

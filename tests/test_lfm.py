@@ -15,6 +15,7 @@ from ballmaps import (
     evaluate_batch,
     from_associated_matrix,
     invert,
+    oracle_is_selfmap,
 )
 
 from conftest import near_sphere_contraction, random_ball_point, random_complex_matrix
@@ -154,6 +155,19 @@ def test_pole_free_on_ball(worked_map):
     assert not LFMap(np.eye(1), [0.0], [2.0], 1.0).pole_free_on_ball
 
 
+def test_pole_free_on_ball_at_any_scale(worked_map):
+    # the test squares nothing, so it neither overflows nor underflows
+    for k in range(-300, 301, 10):
+        s = 10.0**k
+        phi = LFMap(worked_map.a * s, worked_map.b * s, worked_map.c * s, worked_map.d * s)
+        assert phi.pole_free_on_ball, k
+        sup, verdict = oracle_is_selfmap(phi)
+        assert abs(sup - 1.0) <= 4e-16 and verdict, (k, sup)
+        # |c| = |d| puts a pole on the sphere, |c| = 2 |d| one inside
+        assert not LFMap(np.eye(1) * s, [0.0], [s], s).pole_free_on_ball, k
+        assert not LFMap(np.eye(1) * s, [0.0], [2.0 * s], s).pole_free_on_ball, k
+
+
 def test_evaluate_raises_at_pole():
     phi = LFMap(np.eye(1), [0.0], [2.0], 1.0)
     with pytest.raises(PoleError) as err:
@@ -192,6 +206,13 @@ def test_from_associated_matrix_zero_corner():
     # lower-right entry zero: the scale is kept and the map is z -> 1/z
     phi = from_associated_matrix([[0.0, 1.0], [1.0, 0.0]])
     np.testing.assert_allclose(phi([0.5]), [2.0], atol=1e-15)
+    # nothing is divided, yet the map owns a copy of the caller's array
+    m = np.array([[0.0, 2.0], [2.0, 0.0]], dtype=np.complex128)
+    psi = from_associated_matrix(m)
+    assert m.flags.writeable
+    m[0, 1] = 7.0
+    np.testing.assert_array_equal(psi.associated_matrix(), [[0.0, 2.0], [2.0, 0.0]])
+    np.testing.assert_allclose(psi([0.5]), [2.0], atol=1e-15)
 
 
 def test_compose_is_matrix_product():
