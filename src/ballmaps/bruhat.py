@@ -22,7 +22,7 @@ from .lfm import LFMap, from_associated_matrix
 PIVOT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BruhatFactors:
     """Factorization m = left_unipotent @ P(perm) @ diag @ right_unipotent.
 
@@ -128,7 +128,7 @@ def transposition_matrix(n: int, i: int, j: int) -> np.ndarray:
     return t
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FactorMap:
     """One elementary factor of a decomposed map.
 

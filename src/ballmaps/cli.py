@@ -12,6 +12,7 @@ ball; failures print one machine-parsable JSON line on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -40,8 +41,8 @@ def _fmt_float(v: float) -> str:
 def serialize(value) -> str:
     """Deterministic JSON with 17-significant-digit reals.
 
-    Complex numbers become [re, im]; numpy values are converted; dict
-    keys keep insertion order.
+    Complex numbers become [re, im], tuples and numpy arrays become
+    lists, numpy scalars are converted; dict keys keep insertion order.
     """
     if value is None:
         return "null"
@@ -82,7 +83,8 @@ def _pair_vector(value, n: int, what: str) -> np.ndarray:
     return np.array([_pair(v, what) for v in value], dtype=np.complex128)
 
 
-def load_mapfile(path: str) -> lfm.LFMap:
+def _read_object(path: str) -> dict:
+    """The JSON object in the file at path; InputError if there is none."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -92,6 +94,11 @@ def load_mapfile(path: str) -> lfm.LFMap:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"{path}: top level must be an object")
+    return doc
+
+
+def load_mapfile(path: str) -> lfm.LFMap:
+    doc = _read_object(path)
     missing = {"N", "A", "B", "C", "D"} - doc.keys()
     if missing:
         raise InputError(f"{path}: missing keys {sorted(missing)}")
@@ -113,26 +120,12 @@ def load_mapfile(path: str) -> lfm.LFMap:
 
 
 def dump_mapfile(phi: lfm.LFMap) -> dict:
-    return {
-        "N": phi.dim,
-        "A": [[complex(v) for v in row] for row in phi.a],
-        "B": [complex(v) for v in phi.b],
-        "C": [complex(v) for v in phi.c],
-        "D": complex(phi.d),
-    }
+    return {"N": phi.dim, "A": phi.a, "B": phi.b, "C": phi.c, "D": phi.d}
 
 
 def load_quadric(path: str) -> quadric.Quadric:
     """Quadric from JSON: either standard-form coefficients or raw S, b, c."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise InputError(f"{path}: top level must be an object")
+    doc = _read_object(path)
     try:
         if "alphas" in doc:
             missing = {"alphas", "betas", "gammas", "delta"} - doc.keys()
@@ -167,27 +160,12 @@ def _emit(doc) -> None:
 def _cmd_check(args) -> int:
     phi = load_mapfile(args.mapfile)
     report = criterion.check(phi)
-    doc = {
-        "row_lhs": list(report.row_lhs),
-        "rhs": report.rhs,
-        "row_verdict": list(report.row_verdict),
-        "criterion_selfmap": report.criterion_selfmap,
-        "oracle_sup": report.oracle_sup,
-        "oracle_selfmap": report.oracle_selfmap,
-        "krein_t": report.krein_t,
-        "classification": report.classification,
-        "fixed_point": None if report.fixed_point is None else list(report.fixed_point),
-        "discrepancy_flag": report.discrepancy_flag,
-        "meta": _meta(
-            args,
-            {
-                "row_tol": criterion.ROW_REL_TOL,
-                "oracle_tol": criterion.ORACLE_TOL,
-                "krein_tol": criterion.KREIN_PSD_TOL,
-            },
-        ),
+    tolerances = {
+        "row_tol": criterion.ROW_REL_TOL,
+        "oracle_tol": criterion.ORACLE_TOL,
+        "krein_tol": criterion.KREIN_PSD_TOL,
     }
-    _emit(doc)
+    _emit({**dataclasses.asdict(report), "meta": _meta(args, tolerances)})
     return 0
 
 
@@ -197,10 +175,10 @@ def _cmd_image(args) -> int:
     psd, unitary = linalg.polar_decompose(ell.shape)
     _emit(
         {
-            "center": list(ell.center),
-            "shape": [list(row) for row in ell.shape],
-            "polar_psd": [list(row) for row in psd],
-            "polar_unitary": [list(row) for row in unitary],
+            "center": ell.center,
+            "shape": ell.shape,
+            "polar_psd": psd,
+            "polar_unitary": unitary,
             "meta": _meta(args, {}),
         }
     )
@@ -229,7 +207,7 @@ def _cmd_decompose(args) -> int:
             "factors": [
                 {
                     "kind": f.kind,
-                    "swap": None if f.swap is None else list(f.swap),
+                    "swap": f.swap,
                     "map": dump_mapfile(f.map),
                 }
                 for f in factors
@@ -272,19 +250,8 @@ def _cmd_sample(args) -> int:
 
 def _cmd_quadric(args) -> int:
     phi = load_mapfile(args.mapfile)
-    q = load_quadric(args.quadric)
-    try:
-        out = quadric.pullback_map(q, phi)
-    except ShapeError as exc:
-        raise InputError(str(exc)) from exc
-    _emit(
-        {
-            "S": [list(row) for row in out.s],
-            "b": list(out.b),
-            "c": out.c,
-            "meta": _meta(args, {}),
-        }
-    )
+    out = quadric.pullback_map(load_quadric(args.quadric), phi)
+    _emit({"S": out.s, "b": out.b, "c": out.c, "meta": _meta(args, {})})
     return 0
 
 

@@ -20,6 +20,7 @@ Bisi and Bracci 2002).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
@@ -124,7 +125,9 @@ def _ellipsoid_rows(phi: LFMap, ell: EllipsoidImage):
     center b/d and shape a/d, and rhs = |d|^4.
 
     Both sides are stated at the coefficients' own scale, so coefficients
-    too large for that (about 1e77 and up) raise ContractViolation.
+    too large for that (about 1e77 and up) raise ContractViolation, and so
+    do coefficients so small (about 1e-78 and below) that the scale is not
+    a normal double.
     """
     center = ell.center
     rows = np.conj(ell.shape)
@@ -143,6 +146,12 @@ def _ellipsoid_rows(phi: LFMap, ell: EllipsoidImage):
             "row test: its rows are stated at the coefficients' scale, where "
             "(|d|^2 - |c|^2)^2 times them overflows; divide the coefficients "
             "by a common factor"
+        )
+    if scale < sys.float_info.min:
+        raise ContractViolation(
+            "row test: its rows are stated at the coefficients' scale, where "
+            "(|d|^2 - |c|^2)^2 is below the smallest normal double; multiply "
+            "the coefficients by a common factor"
         )
     return lhs * scale, float(scale), verdicts
 
@@ -554,7 +563,6 @@ def agreement_table(count: int, seed: int) -> dict:
     """
     base = int(seed) % 2**63
     rows = []
-    agree = both_true = both_false = criterion_only = oracle_only = 0
     for idx in range(count):
         n = 1 + idx % 4
         rng = np.random.default_rng([base, 7, idx])
@@ -576,20 +584,12 @@ def agreement_table(count: int, seed: int) -> dict:
                 "criterion_selfmap": crit,
                 "oracle_selfmap": oracle_ok,
                 "oracle_sup": float(sup),
-                "max_row_excess": float(np.max(lhs / rhs)) if rhs > 0 else float("inf"),
+                "max_row_excess": float(np.max(lhs / rhs)),
                 "agree": crit == oracle_ok,
             }
         )
-        if crit == oracle_ok:
-            agree += 1
-        if crit and oracle_ok:
-            both_true += 1
-        elif not crit and not oracle_ok:
-            both_false += 1
-        elif crit and not oracle_ok:
-            criterion_only += 1
-        else:
-            oracle_only += 1
+    pairs = [(r["criterion_selfmap"], r["oracle_selfmap"]) for r in rows]
+    agree = sum(r["agree"] for r in rows)
     return {
         "count": count,
         "seed": int(seed),
@@ -597,9 +597,9 @@ def agreement_table(count: int, seed: int) -> dict:
         "summary": {
             "agree": agree,
             "disagree": count - agree,
-            "both_true": both_true,
-            "both_false": both_false,
-            "criterion_only": criterion_only,
-            "oracle_only": oracle_only,
+            "both_true": pairs.count((True, True)),
+            "both_false": pairs.count((False, False)),
+            "criterion_only": pairs.count((True, False)),
+            "oracle_only": pairs.count((False, True)),
         },
     }

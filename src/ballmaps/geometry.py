@@ -54,7 +54,7 @@ def ball_involution(alpha, z) -> np.ndarray:
     return (alpha - p - s * q) / den
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BallAutomorphism:
     """A ball automorphism: unitary rotation applied after the involution."""
 
@@ -121,7 +121,7 @@ def automorphism_to_lfmap(aut: BallAutomorphism) -> LFMap:
     return LFMap(a, b, -aut.alpha, 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EllipsoidImage:
     """The set {center + shape @ v : |v| <= 1} in C^N."""
 

@@ -45,7 +45,7 @@ NORMALIZE_TOL = 1e-12
 _EPS = float(np.finfo(float).eps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LFMap:
     """A linear fractional map with an invertible associated matrix.
 
@@ -63,7 +63,7 @@ class LFMap:
     b: np.ndarray
     c: np.ndarray
     d: complex
-    _m: np.ndarray = field(init=False, repr=False, compare=False)
+    _m: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=np.complex128)
@@ -113,11 +113,11 @@ class LFMap:
     def pole_free_on_ball(self) -> bool:
         """True when every pole lies outside the closed unit ball.
 
-        That is |c| < |d|, with |c| from math.hypot, which neither
-        overflows nor underflows: the answer is the same at any scale of
-        the coefficients, and the tie |c| = |d| stays exact for one entry.
+        That is |c| < |d|, with |c| from _norm: the answer is the same at
+        any scale of the coefficients, and the tie |c| = |d| stays exact
+        for one entry.
         """
-        return math.hypot(*np.abs(self.c).tolist()) < abs(self.d)
+        return _norm(self.c) < abs(self.d)
 
     def associated_matrix(self) -> np.ndarray:
         """A writable copy of the associated matrix."""
@@ -156,25 +156,31 @@ def from_associated_matrix(m) -> LFMap:
     return phi
 
 
+def _norm(v: np.ndarray) -> float:
+    """The Euclidean norm of v by math.hypot, which neither overflows nor
+    underflows, where np.linalg.norm squares the entries."""
+    return math.hypot(*np.abs(v).tolist())
+
+
 def evaluate(phi: LFMap, z) -> np.ndarray:
     """Apply the map to a point, guarding against near-pole evaluation."""
     z = linalg.as_vector(z)
     if z.shape != (phi.dim,):
         raise ShapeError(f"point has shape {z.shape}, map acts on C^{phi.dim}")
-    den = np.vdot(phi.c, z) + phi.d
-    floor = POLE_TOL * (abs(phi.d) + np.linalg.norm(phi.c) * np.linalg.norm(z))
-    if abs(den) <= floor:
-        raise PoleError(f"denominator {abs(den):.3e} at evaluation point", point=z)
-    return (phi.a @ z + phi.b) / den
+    return evaluate_batch(phi, z[None, :])[0]
 
 
 def evaluate_batch(phi: LFMap, points) -> np.ndarray:
-    """Apply the map to each row of an (m, N) array of points."""
+    """Apply the map to each row of an (m, N) array of points.
+
+    A point z whose denominator is within POLE_TOL (|d| + |c| |z|) of 0
+    raises PoleError, which names the first such row as its sample.
+    """
     pts = np.asarray(points, dtype=np.complex128)
     if pts.ndim != 2 or pts.shape[1] != phi.dim:
         raise ShapeError(f"points have shape {pts.shape}, map acts on C^{phi.dim}")
     den = pts @ np.conj(phi.c) + phi.d
-    floors = POLE_TOL * (abs(phi.d) + np.linalg.norm(phi.c) * np.linalg.norm(pts, axis=1))
+    floors = POLE_TOL * (abs(phi.d) + _norm(phi.c) * np.linalg.norm(pts, axis=1))
     bad = np.abs(den) <= floors
     if np.any(bad):
         idx = int(np.argmax(bad))

@@ -41,7 +41,7 @@ def _real_parts(z: np.ndarray) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Quadric:
     """Zero set of x^T S x + b^T x + c in real coordinates of C^N."""
 

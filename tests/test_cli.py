@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from ballmaps import bruhat, compose, criterion, invert
+from ballmaps import __version__, bruhat, compose, criterion, geometry, invert, linalg, quadric
 from ballmaps.cli import dump_mapfile, load_mapfile, main, serialize
 
 from conftest import random_ball_point
@@ -105,6 +105,128 @@ def test_check_output_byte_identical(capsys, worked_file):
     _, first, _ = run_cli(capsys, ["check", worked_file])
     _, second, _ = run_cli(capsys, ["check", worked_file])
     assert first == second
+
+
+def _meta(tolerances, seed=None):
+    return {"tool": "ballmaps", "version": __version__, "seed": seed, "tolerances": tolerances}
+
+
+def _map_layout(phi):
+    return {
+        "N": phi.dim,
+        "A": [[complex(v) for v in row] for row in phi.a],
+        "B": [complex(v) for v in phi.b],
+        "C": [complex(v) for v in phi.c],
+        "D": complex(phi.d),
+    }
+
+
+def _expected_documents(phi):
+    """Each command's document, built from library calls in the CLI's
+    layout: key order, nested lists and meta."""
+    report = criterion.check(phi)
+    ell = geometry.image_ellipsoid(phi)
+    psd, unitary = linalg.polar_decompose(ell.shape)
+    factors = bruhat.factors_to_maps(bruhat.bruhat_factorize(phi.associated_matrix()))
+    recomposed = bruhat.compose_factor_maps(factors).associated_matrix()
+    original = phi.associated_matrix()
+    k = int(np.argmax(np.abs(original)))
+    ratio = recomposed.ravel()[k] / original.ravel()[k]
+    sphere = quadric.from_standard_form([1, 1], [0, 0], [0, 0], -1)
+    pulled = quadric.pullback_map(sphere, phi)
+    table = criterion.agreement_table(4, 20260822)
+    rows = table["rows"]
+    keys = ["index", "dim", "criterion_selfmap", "oracle_selfmap", "oracle_sup", "max_row_excess", "agree"]
+    crit = [r["criterion_selfmap"] for r in rows]
+    orc = [r["oracle_selfmap"] for r in rows]
+    return {
+        "check": {
+            "row_lhs": list(report.row_lhs),
+            "rhs": report.rhs,
+            "row_verdict": list(report.row_verdict),
+            "criterion_selfmap": report.criterion_selfmap,
+            "oracle_sup": report.oracle_sup,
+            "oracle_selfmap": report.oracle_selfmap,
+            "krein_t": report.krein_t,
+            "classification": report.classification,
+            "fixed_point": list(report.fixed_point),
+            "discrepancy_flag": report.discrepancy_flag,
+            "meta": _meta({"row_tol": 1e-10, "oracle_tol": 1e-9, "krein_tol": 1e-10}),
+        },
+        "image": {
+            "center": [complex(v) for v in ell.center],
+            "shape": [[complex(v) for v in row] for row in ell.shape],
+            "polar_psd": [[complex(v) for v in row] for row in psd],
+            "polar_unitary": [[complex(v) for v in row] for row in unitary],
+            "meta": _meta({}),
+        },
+        "supnorm": {"sup": geometry.ellipsoid_sup_norm(ell), "meta": _meta({})},
+        "decompose": {
+            "factors": [
+                {
+                    "kind": f.kind,
+                    "swap": None if f.swap is None else list(f.swap),
+                    "map": _map_layout(f.map),
+                }
+                for f in factors
+            ],
+            "recomposition_residual": float(np.max(np.abs(recomposed / ratio - original))),
+            "meta": _meta({"pivot_tol": 1e-12}),
+        },
+        "compose": _map_layout(compose(phi, phi)),
+        "invert": _map_layout(invert(phi)),
+        "krein": {"t": criterion.krein_check(phi), "meta": _meta({"krein_tol": 1e-10})},
+        "sample": {
+            "monte_carlo_sup": criterion.monte_carlo_sup(phi, 1000, 7),
+            "n": 1000,
+            "meta": _meta({}, seed=7),
+        },
+        "quadric": {
+            "S": [[float(v) for v in row] for row in pulled.s],
+            "b": [float(v) for v in pulled.b],
+            "c": pulled.c,
+            "meta": _meta({}),
+        },
+        "agreement": {
+            "count": 4,
+            "seed": 20260822,
+            "rows": [{key: r[key] for key in keys} for r in rows],
+            "summary": {
+                "agree": sum(a == b for a, b in zip(crit, orc)),
+                "disagree": sum(a != b for a, b in zip(crit, orc)),
+                "both_true": sum(a and b for a, b in zip(crit, orc)),
+                "both_false": sum(not a and not b for a, b in zip(crit, orc)),
+                "criterion_only": sum(a and not b for a, b in zip(crit, orc)),
+                "oracle_only": sum(b and not a for a, b in zip(crit, orc)),
+            },
+            "meta": _meta({"row_tol": 1e-10, "oracle_tol": 1e-9}, seed=20260822),
+        },
+    }
+
+
+def test_each_command_prints_its_documented_layout(capsys, tmp_path, worked_file):
+    sphere = tmp_path / "sphere.json"
+    sphere.write_text(
+        json.dumps({"alphas": [1, 1], "betas": [0, 0], "gammas": [0, 0], "delta": -1})
+    )
+    argv = {
+        "check": ["check", worked_file],
+        "image": ["image", worked_file],
+        "supnorm": ["supnorm", worked_file],
+        "decompose": ["decompose", worked_file],
+        "compose": ["compose", worked_file, worked_file],
+        "invert": ["invert", worked_file],
+        "krein": ["krein", worked_file],
+        "sample": ["sample", worked_file, "--n", "1000", "--seed", "7"],
+        "quadric": ["quadric", worked_file, "--quadric", str(sphere)],
+        "agreement": ["agreement", "--count", "4"],
+    }
+    expected = _expected_documents(load_mapfile(worked_file))
+    assert expected.keys() == argv.keys()
+    for command, args in argv.items():
+        code, out, err = run_cli(capsys, args)
+        assert (code, err) == (0, ""), command
+        assert out == serialize(expected[command]) + "\n", command
 
 
 def test_image_command(capsys, worked_file):

@@ -1,5 +1,8 @@
 """Row criterion, sup-norm oracle, indefinite-metric check, classification."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -52,6 +55,20 @@ def krein_min_eig(phi, t):
     return float(np.linalg.eigvalsh((pencil + pencil.conj().T) / 2.0)[0])
 
 
+def exact_disc_krein_min_eig(phi, t):
+    """krein_min_eig for a real map of the disc, with J - t^2 m* J m formed
+    in exact rational arithmetic from the double coefficients and t: near
+    the sphere the double m* J m loses about twelve digits."""
+    m = phi.associated_matrix()
+    assert m.shape == (2, 2) and not np.any(m.imag)
+    (a, b), (c, d) = [[Fraction(float(v)) for v in row] for row in m.real]
+    t2 = Fraction(float(t)) ** 2
+    x, y, z = 1 - t2 * (a * a - c * c), -t2 * (a * b - c * d), -1 - t2 * (b * b - d * d)
+    trace, det = x + z, x * z - y * y
+    # the smaller root of lam^2 - trace lam + det, without cancellation
+    return 2.0 * float(det) / (float(trace) + math.sqrt(float(trace * trace - 4 * det)))
+
+
 def ball_point(n, rng, low, high):
     """A point of the ball with norm drawn uniformly from [low, high]."""
     g = rng.standard_normal(2 * n)
@@ -98,15 +115,17 @@ def test_worked_rows(worked_map):
 
 def test_rows_are_stated_at_the_coefficients_scale(worked_map):
     # rows and rhs scale as |d|^4: at 1e40 they are 1e160 times the
-    # unit-scale ones, at 1e80 they would pass 1e308 and the test refuses
+    # unit-scale ones, at 1e80 they would pass 1e308 and the test refuses;
+    # at 1e-80 they would be subnormal (6.4e-319) and it refuses too
     def scaled(s):
         return LFMap(worked_map.a * s, worked_map.b * s, worked_map.c * s, worked_map.d * s)
 
-    lhs, rhs, ok = row_criterion(scaled(1e40))
-    np.testing.assert_allclose(lhs, np.array([64.0, 48.0]) * 1e160, rtol=1e-15)
-    assert abs(rhs - 64e160) <= 1e-15 * 64e160
-    assert ok.tolist() == [True, True]
-    for s in (1e77, 1e80, 1e160):
+    for s in (1e40, 1e-40):
+        lhs, rhs, ok = row_criterion(scaled(s))
+        np.testing.assert_allclose(lhs, np.array([64.0, 48.0]) * s**4, rtol=1e-15)
+        assert abs(rhs - 64.0 * s**4) <= 1e-15 * 64.0 * s**4
+        assert ok.tolist() == [True, True]
+    for s in (1e77, 1e80, 1e160, 1e-78, 1e-80, 1e-170):
         with pytest.raises(ContractViolation):
             row_criterion(scaled(s))
         with pytest.raises(ContractViolation):
@@ -263,15 +282,26 @@ def test_krein_is_scale_invariant(base, worked_map):
         np.testing.assert_allclose(points[3], [1.0, 0.0], rtol=0.0, atol=1e-9)
 
 
-def test_krein_near_sphere_contraction_is_finite():
-    # m* J m has a positive eigenvalue of 5e-18 that rounding loses,
-    # so f(s) keeps rising past the last candidate; in 60-digit arithmetic
-    # the maximiser is t = 7.07e5, and t must stay near it
-    phi, _ = near_sphere_contraction(1e-6)
+@pytest.mark.parametrize(
+    "delta, r, t_low, t_high, exact",
+    [(1e-6, 0.5, 7.07e5 / 2.0, 7.07e5 * 2.0, False), (10**-5.25, 0.1, 0.0, 2.81e5, True)],
+    ids=["1e-6", "1e-5.25"],
+)
+def test_krein_near_sphere_contraction_is_finite(delta, r, t_low, t_high, exact):
+    # m* J m has a positive eigenvalue (5e-18 at 1e-6) that rounding loses,
+    # so f(s) keeps rising past the last candidate; in 50-digit arithmetic
+    # the maximisers are t = 7.07e5 and 2.81e5.  The second map doubles s
+    # past that candidate: stopping there gives t = 8.6e4, infeasible by
+    # 4.4e-7 in exact arithmetic, where the doubling reaches t = 1.21e5.
+    # The first t is feasible only to the rounding of H (-7.5e-7 exactly,
+    # ROADMAP item 2), so it is not checked exactly.
+    phi, _ = near_sphere_contraction(delta, r)
     t = krein_check(phi)
-    assert t is not None and 7.07e5 / 2.0 < t < 7.07e5 * 2.0
+    assert t is not None and t_low < t < t_high
     scale = float(np.max(np.abs(phi.associated_matrix())))
     assert krein_min_eig(coefficient_map(phi.associated_matrix() / scale), t * scale) >= -1e-9
+    if exact:
+        assert exact_disc_krein_min_eig(phi, t) >= -1e-9
     report = check(phi)
     assert report.krein_t == t and report.classification == CLASS_INTERIOR
 

@@ -14,6 +14,8 @@ from ballmaps import (
     evaluate,
     evaluate_batch,
     from_associated_matrix,
+    from_standard_form,
+    image_ellipsoid,
     invert,
     oracle_is_selfmap,
 )
@@ -166,6 +168,36 @@ def test_pole_free_on_ball_at_any_scale(worked_map):
         # |c| = |d| puts a pole on the sphere, |c| = 2 |d| one inside
         assert not LFMap(np.eye(1) * s, [0.0], [s], s).pole_free_on_ball, k
         assert not LFMap(np.eye(1) * s, [0.0], [2.0 * s], s).pole_free_on_ball, k
+
+
+def test_evaluate_at_any_scale(worked_map):
+    # the pole floor takes |c| as pole_free_on_ball does, so it does not
+    # overflow where the squared entries would (from about 1e154)
+    z = [0.1, 0.2]
+    unit = evaluate(worked_map, z)
+    for k in range(-300, 301, 20):
+        s = 10.0**k
+        phi = LFMap(worked_map.a * s, worked_map.b * s, worked_map.c * s, worked_map.d * s)
+        np.testing.assert_allclose(evaluate(phi, z), unit, rtol=1e-14, atol=0, err_msg=f"k = {k}")
+        np.testing.assert_allclose(evaluate_batch(phi, [z])[0], unit, rtol=1e-14, atol=0, err_msg=f"k = {k}")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: LFMap(np.diag([1.0, 2.0]), [1.0, 0.0], [-1.0, 0.0], 3.0),
+        lambda: image_ellipsoid(LFMap(np.diag([1.0, 2.0]), [1.0, 0.0], [-1.0, 0.0], 3.0)),
+        lambda: from_standard_form([1, 1], [0, 0], [0, 0], -1),
+    ],
+    ids=["map", "ellipsoid", "quadric"],
+)
+def test_array_holders_compare_by_identity(build):
+    # equality over numpy arrays has no truth value, so these objects are
+    # equal only to themselves, and hashable
+    first, second = build(), build()
+    assert first == first and first != second
+    assert first in [first] and second not in [first]
+    assert len({first, second}) == 2 and hash(first) == hash(first)
 
 
 def test_evaluate_raises_at_pole():
