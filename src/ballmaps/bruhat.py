@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DegenerateMapError, ShapeError
+from .errors import ContractViolation, DegenerateMapError, ShapeError
 from .lfm import LFMap, from_associated_matrix
 
 PIVOT_TOL = 1e-12
@@ -57,9 +57,11 @@ def bruhat_factorize(m) -> BruhatFactors:
     Columns are processed left to right; the pivot of each column is the
     lowest not-yet-claimed row whose entry is nonzero (an entry counts
     as zero below PIVOT_TOL times the largest input magnitude).  Row
-    operations clear the column above its pivot and accumulate into the
-    left unipotent factor; column operations clear the pivot row to the
-    right and accumulate into the right one.
+    operations clear the column above its pivot and column operations
+    clear the pivot row to the right.  As L holds the multipliers in LU,
+    u1 and u2 hold the elimination multipliers: entry (i, pivot row) of
+    u1 is the multiple of the pivot row taken from row i, and entry
+    (j, k) of u2 the multiple of column j taken from column k.
     """
     m = linalg.as_square_matrix(m)
     n = m.shape[0]
@@ -83,21 +85,17 @@ def bruhat_factorize(m) -> BruhatFactors:
         claimed[pivot_row] = True
         perm[j] = pivot_row
         p = work[pivot_row, j]
+        # Row i is unclaimed and k > j, so u1[:, i] and u2[k, :] are still unit
+        # vectors and each update is one entry; += onto +0 makes a zero part +0.
         for i in range(pivot_row):
             if not claimed[i] and work[i, j] != 0:
                 f = work[i, j] / p
                 work[i, :] -= f * work[pivot_row, :]
                 work[i, j] = 0.0
-                u1[:, pivot_row] += f * u1[:, i]
-        for k in range(j + 1, n):
-            if work[pivot_row, k] != 0:
-                g = work[pivot_row, k] / p
-                work[pivot_row, k] = 0.0
-                u2[j, :] += g * u2[k, :]
-    diag = np.zeros((n, n), dtype=np.complex128)
-    for j in range(n):
-        diag[j, j] = work[perm[j], j]
-    return BruhatFactors(u1, tuple(perm), diag, u2)
+                u1[i, pivot_row] += f
+        u2[j, j + 1 :] += work[pivot_row, j + 1 :] / p
+        work[pivot_row, j + 1 :] = 0.0
+    return BruhatFactors(u1, tuple(perm), np.diag(work[perm, range(n)]), u2)
 
 
 def permutation_to_transpositions(perm) -> list[tuple[int, int]]:
@@ -111,7 +109,7 @@ def permutation_to_transpositions(perm) -> list[tuple[int, int]]:
     work = list(perm)
     n = len(work)
     if sorted(work) != list(range(n)):
-        raise ValueError(f"not a permutation of 0..{n - 1}: {perm}")
+        raise ContractViolation(f"not a permutation of 0..{n - 1}: {perm}")
     recorded = []
     for target in range(n - 1, 0, -1):
         j = work.index(target)

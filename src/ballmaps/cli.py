@@ -126,21 +126,18 @@ def dump_mapfile(phi: lfm.LFMap) -> dict:
 def load_quadric(path: str) -> quadric.Quadric:
     """Quadric from JSON: either standard-form coefficients or raw S, b, c."""
     doc = _read_object(path)
+    standard = "alphas" in doc
+    required = {"alphas", "betas", "gammas", "delta"} if standard else {"S", "b", "c"}
+    missing = required - doc.keys()
+    if missing:
+        raise InputError(f"{path}: missing keys {sorted(missing)}")
     try:
-        if "alphas" in doc:
-            missing = {"alphas", "betas", "gammas", "delta"} - doc.keys()
-            if missing:
-                raise InputError(f"{path}: missing keys {sorted(missing)}")
+        if standard:
             return quadric.from_standard_form(
                 doc["alphas"], doc["betas"], doc["gammas"], doc["delta"]
             )
-        missing = {"S", "b", "c"} - doc.keys()
-        if missing:
-            raise InputError(f"{path}: missing keys {sorted(missing)}")
         return quadric.Quadric(np.array(doc["S"], dtype=float), np.array(doc["b"], dtype=float), doc["c"])
     except (ShapeError, ContractViolation, TypeError, ValueError) as exc:
-        if isinstance(exc, InputError):
-            raise
         raise InputError(f"{path}: {exc}") from exc
 
 
@@ -153,46 +150,34 @@ def _meta(args, tolerances: dict) -> dict:
     }
 
 
-def _emit(doc) -> None:
-    sys.stdout.write(serialize(doc) + "\n")
-
-
-def _cmd_check(args) -> int:
-    phi = load_mapfile(args.mapfile)
-    report = criterion.check(phi)
+def _cmd_check(args) -> dict:
+    report = criterion.check(load_mapfile(args.mapfile))
     tolerances = {
         "row_tol": criterion.ROW_REL_TOL,
         "oracle_tol": criterion.ORACLE_TOL,
         "krein_tol": criterion.KREIN_PSD_TOL,
     }
-    _emit({**dataclasses.asdict(report), "meta": _meta(args, tolerances)})
-    return 0
+    return {**dataclasses.asdict(report), "meta": _meta(args, tolerances)}
 
 
-def _cmd_image(args) -> int:
-    phi = load_mapfile(args.mapfile)
-    ell = geometry.image_ellipsoid(phi)
+def _cmd_image(args) -> dict:
+    ell = geometry.image_ellipsoid(load_mapfile(args.mapfile))
     psd, unitary = linalg.polar_decompose(ell.shape)
-    _emit(
-        {
-            "center": ell.center,
-            "shape": ell.shape,
-            "polar_psd": psd,
-            "polar_unitary": unitary,
-            "meta": _meta(args, {}),
-        }
-    )
-    return 0
+    return {
+        "center": ell.center,
+        "shape": ell.shape,
+        "polar_psd": psd,
+        "polar_unitary": unitary,
+        "meta": _meta(args, {}),
+    }
 
 
-def _cmd_supnorm(args) -> int:
-    phi = load_mapfile(args.mapfile)
-    sup = geometry.ellipsoid_sup_norm(geometry.image_ellipsoid(phi))
-    _emit({"sup": sup, "meta": _meta(args, {})})
-    return 0
+def _cmd_supnorm(args) -> dict:
+    sup = geometry.ellipsoid_sup_norm(geometry.image_ellipsoid(load_mapfile(args.mapfile)))
+    return {"sup": sup, "meta": _meta(args, {})}
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args) -> dict:
     phi = load_mapfile(args.mapfile)
     factors = bruhat.factors_to_maps(
         bruhat.bruhat_factorize(phi.associated_matrix())
@@ -202,66 +187,66 @@ def _cmd_decompose(args) -> int:
     k = int(np.argmax(np.abs(original)))
     ratio = recomposed.ravel()[k] / original.ravel()[k]
     resid = float(np.max(np.abs(recomposed / ratio - original)))
-    _emit(
-        {
-            "factors": [
-                {
-                    "kind": f.kind,
-                    "swap": f.swap,
-                    "map": dump_mapfile(f.map),
-                }
-                for f in factors
-            ],
-            "recomposition_residual": resid,
-            "meta": _meta(args, {"pivot_tol": bruhat.PIVOT_TOL}),
-        }
-    )
-    return 0
+    return {
+        "factors": [
+            {
+                "kind": f.kind,
+                "swap": f.swap,
+                "map": dump_mapfile(f.map),
+            }
+            for f in factors
+        ],
+        "recomposition_residual": resid,
+        "meta": _meta(args, {"pivot_tol": bruhat.PIVOT_TOL}),
+    }
 
 
-def _cmd_compose(args) -> int:
-    f = load_mapfile(args.first)
-    g = load_mapfile(args.second)
-    _emit(dump_mapfile(lfm.compose(f, g)))
-    return 0
+def _cmd_compose(args) -> dict:
+    return dump_mapfile(lfm.compose(load_mapfile(args.first), load_mapfile(args.second)))
 
 
-def _cmd_invert(args) -> int:
-    phi = load_mapfile(args.mapfile)
-    _emit(dump_mapfile(lfm.invert(phi)))
-    return 0
+def _cmd_invert(args) -> dict:
+    return dump_mapfile(lfm.invert(load_mapfile(args.mapfile)))
 
 
-def _cmd_krein(args) -> int:
-    phi = load_mapfile(args.mapfile)
-    t = criterion.krein_check(phi)
-    _emit({"t": t, "meta": _meta(args, {"krein_tol": criterion.KREIN_PSD_TOL})})
-    return 0
+def _cmd_krein(args) -> dict:
+    t = criterion.krein_check(load_mapfile(args.mapfile))
+    return {"t": t, "meta": _meta(args, {"krein_tol": criterion.KREIN_PSD_TOL})}
 
 
-def _cmd_sample(args) -> int:
-    phi = load_mapfile(args.mapfile)
-    if args.n < 1:
-        raise InputError("--n must be at least 1")
-    value = criterion.monte_carlo_sup(phi, args.n, args.seed)
-    _emit({"monte_carlo_sup": value, "n": args.n, "meta": _meta(args, {})})
-    return 0
+def _cmd_sample(args) -> dict:
+    value = criterion.monte_carlo_sup(load_mapfile(args.mapfile), args.n, args.seed)
+    return {"monte_carlo_sup": value, "n": args.n, "meta": _meta(args, {})}
 
 
-def _cmd_quadric(args) -> int:
+def _cmd_quadric(args) -> dict:
     phi = load_mapfile(args.mapfile)
     out = quadric.pullback_map(load_quadric(args.quadric), phi)
-    _emit({"S": out.s, "b": out.b, "c": out.c, "meta": _meta(args, {})})
-    return 0
+    return {"S": out.s, "b": out.b, "c": out.c, "meta": _meta(args, {})}
 
 
-def _cmd_agreement(args) -> int:
+def _cmd_agreement(args) -> dict:
     if args.count < 1:
         raise InputError("--count must be at least 1")
     table = criterion.agreement_table(args.count, args.seed)
     table["meta"] = _meta(args, {"row_tol": criterion.ROW_REL_TOL, "oracle_tol": criterion.ORACLE_TOL})
-    _emit(table)
-    return 0
+    return table
+
+
+# (name, help, positional arguments, handler) of each subcommand, in the
+# order that --help lists them; build_parser adds the options.
+_COMMANDS = (
+    ("check", "run all self-map tests on one map", ("mapfile",), _cmd_check),
+    ("image", "image ellipsoid center, shape, polar factors", ("mapfile",), _cmd_image),
+    ("supnorm", "exact sup of |phi| over the closed ball", ("mapfile",), _cmd_supnorm),
+    ("decompose", "factor into reflections and affine maps", ("mapfile",), _cmd_decompose),
+    ("compose", "composition first(second(z)) as a map file", ("first", "second"), _cmd_compose),
+    ("invert", "inverse map as a map file", ("mapfile",), _cmd_invert),
+    ("krein", "search for a feasible indefinite-contraction scale", ("mapfile",), _cmd_krein),
+    ("sample", "Monte Carlo sup over random boundary points", ("mapfile",), _cmd_sample),
+    ("quadric", "pull a quadric back through the map", ("mapfile",), _cmd_quadric),
+    ("agreement", "row-test vs oracle table over random maps", (), _cmd_agreement),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -271,59 +256,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version="ballmaps " + __version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="run all self-map tests on one map")
-    p.add_argument("mapfile")
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("image", help="image ellipsoid center, shape, polar factors")
-    p.add_argument("mapfile")
-    p.set_defaults(func=_cmd_image)
-
-    p = sub.add_parser("supnorm", help="exact sup of |phi| over the closed ball")
-    p.add_argument("mapfile")
-    p.set_defaults(func=_cmd_supnorm)
-
-    p = sub.add_parser("decompose", help="factor into reflections and affine maps")
-    p.add_argument("mapfile")
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("compose", help="composition first(second(z)) as a map file")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.set_defaults(func=_cmd_compose)
-
-    p = sub.add_parser("invert", help="inverse map as a map file")
-    p.add_argument("mapfile")
-    p.set_defaults(func=_cmd_invert)
-
-    p = sub.add_parser("krein", help="search for a feasible indefinite-contraction scale")
-    p.add_argument("mapfile")
-    p.set_defaults(func=_cmd_krein)
-
-    p = sub.add_parser("sample", help="Monte Carlo sup over random boundary points")
-    p.add_argument("mapfile")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(func=_cmd_sample)
-
-    p = sub.add_parser("quadric", help="pull a quadric back through the map")
-    p.add_argument("mapfile")
-    p.add_argument("--quadric", required=True)
-    p.set_defaults(func=_cmd_quadric)
-
-    p = sub.add_parser("agreement", help="row-test vs oracle table over random maps")
-    p.add_argument("--count", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=20260822)
-    p.set_defaults(func=_cmd_agreement)
-
+    commands = {}
+    for name, help_text, positionals, handler in _COMMANDS:
+        p = commands[name] = sub.add_parser(name, help=help_text)
+        for arg in positionals:
+            p.add_argument(arg)
+        p.set_defaults(func=handler)
+    commands["sample"].add_argument("--n", type=int, required=True)
+    commands["sample"].add_argument("--seed", type=int, required=True)
+    commands["quadric"].add_argument("--quadric", required=True)
+    commands["agreement"].add_argument("--count", type=int, default=1000)
+    commands["agreement"].add_argument("--seed", type=int, default=20260822)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        text = serialize(args.func(args))
     except (InputError, ShapeError, ContractViolation) as exc:
         sys.stderr.write(serialize({"error": "malformed_input", "detail": str(exc)}) + "\n")
         return 2
@@ -333,6 +283,8 @@ def main(argv=None) -> int:
     except (DegenerateMapError, SingularMatrixError) as exc:
         sys.stderr.write(serialize({"error": "degenerate_map", "detail": str(exc)}) + "\n")
         return 3
+    sys.stdout.write(text + "\n")
+    return 0
 
 
 if __name__ == "__main__":

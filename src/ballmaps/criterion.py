@@ -353,7 +353,10 @@ def _sphere_chunks(count: int, dim: int, seed: int):
 
 
 def sphere_points(count: int, dim: int, seed: int) -> np.ndarray:
-    """Uniform points on the unit sphere of C^dim, deterministic per seed."""
+    """Uniform points on the unit sphere of C^dim, deterministic per seed;
+    a negative count raises ContractViolation."""
+    if count < 0:
+        raise ContractViolation(f"sample count must be at least 0, got {count}")
     out = np.empty((count, dim), dtype=np.complex128)
     for k, z in enumerate(_sphere_chunks(count, dim, seed)):
         out[k * SAMPLE_CHUNK : k * SAMPLE_CHUNK + len(z)] = z
@@ -362,7 +365,9 @@ def sphere_points(count: int, dim: int, seed: int) -> np.ndarray:
 
 def monte_carlo_sup(phi: LFMap, count: int, seed: int) -> float:
     """Largest |phi(z)| over the points of sphere_points(count, N, seed),
-    evaluated a chunk at a time."""
+    evaluated a chunk at a time.  A count below 1 raises ContractViolation."""
+    if count < 1:
+        raise ContractViolation(f"sample count must be at least 1, got {count}")
     best = 0.0
     for z in _sphere_chunks(count, phi.dim, seed):
         images = evaluate_batch(phi, z)

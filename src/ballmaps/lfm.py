@@ -173,12 +173,15 @@ def evaluate(phi: LFMap, z) -> np.ndarray:
 def evaluate_batch(phi: LFMap, points) -> np.ndarray:
     """Apply the map to each row of an (m, N) array of points.
 
-    A point z whose denominator is within POLE_TOL (|d| + |c| |z|) of 0
-    raises PoleError, which names the first such row as its sample.
+    A non-finite point raises ContractViolation.  A point z whose
+    denominator is within POLE_TOL (|d| + |c| |z|) of 0 raises PoleError,
+    which names the first such row as its sample.
     """
     pts = np.asarray(points, dtype=np.complex128)
     if pts.ndim != 2 or pts.shape[1] != phi.dim:
         raise ShapeError(f"points have shape {pts.shape}, map acts on C^{phi.dim}")
+    if not np.isfinite(pts).all():
+        raise ContractViolation("points must be finite")
     den = pts @ np.conj(phi.c) + phi.d
     floors = POLE_TOL * (abs(phi.d) + _norm(phi.c) * np.linalg.norm(pts, axis=1))
     bad = np.abs(den) <= floors

@@ -93,8 +93,7 @@ def from_standard_form(alphas, betas, gammas, delta: float) -> Quadric:
 
 
 def evaluate(q: Quadric, z) -> float:
-    x = _real_parts(np.asarray(z, dtype=np.complex128))
-    return float(x @ q.s @ x + q.b @ x + q.c)
+    return float(evaluate_batch(q, [z])[0])
 
 
 def evaluate_batch(q: Quadric, points: np.ndarray) -> np.ndarray:
@@ -157,16 +156,7 @@ def from_hermitian(big: np.ndarray) -> Quadric:
     big = np.asarray(big, dtype=np.complex128)
     n = big.shape[0] - 1
     big = (big + big.conj().T) / 2.0
-    h = big[:n, :n]
-    s4 = np.empty((n, 2, n, 2))
-    s4[:, 0, :, 0] = h.real
-    s4[:, 1, :, 1] = h.real
-    s4[:, 1, :, 0] = h.imag
-    s4[:, 0, :, 1] = -h.imag
-    b = np.empty(2 * n)
-    b[0::2] = 2.0 * big[:n, n].real
-    b[1::2] = 2.0 * big[:n, n].imag
-    return Quadric(s4.reshape(2 * n, 2 * n), b, float(big[n, n].real))
+    return Quadric(_real_matrix(big[:n, :n]), 2.0 * _real_parts(big[:n, n]), float(big[n, n].real))
 
 
 def _unwrap_affine(m) -> LFMap:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ballmaps import (
+    ContractViolation,
     DegenerateMapError,
     LFMap,
     PoleError,
@@ -28,6 +29,7 @@ def is_unit_upper_triangular(u):
 
 
 def test_worked_map_factorization(worked_map):
+    # small exact rationals: the multipliers -1 and -3, the pivots -1, 2, 4
     m = worked_map.associated_matrix()
     fac = bruhat_factorize(m)
     assert fac.perm == (2, 1, 0)
@@ -37,7 +39,9 @@ def test_worked_map_factorization(worked_map):
         [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
         atol=1e-15,
     )
-    np.testing.assert_allclose(np.diag(fac.diag), [-1.0, 2.0, 4.0], atol=1e-15)
+    np.testing.assert_array_equal(fac.left_unipotent, [[1, 0, -1], [0, 1, 0], [0, 0, 1]])
+    np.testing.assert_array_equal(fac.right_unipotent, [[1, 0, -3], [0, 1, 0], [0, 0, 1]])
+    np.testing.assert_array_equal(fac.diag, np.diag([-1.0, 2.0, 4.0]))
 
 
 def test_worked_map_factor_structure(worked_map):
@@ -96,7 +100,7 @@ def test_permutation_to_transpositions():
         for j, i in enumerate(perm):
             expected[i, j] = 1.0
         np.testing.assert_array_equal(prod, expected)
-    with pytest.raises(ValueError):
+    with pytest.raises(ContractViolation):
         permutation_to_transpositions((0, 0, 1))
 
 

@@ -356,6 +356,12 @@ def test_sample_command_deterministic(capsys, worked_file):
     assert first == second
 
 
+def test_sample_needs_at_least_one_point(capsys, worked_file):
+    code, out, err = run_cli(capsys, ["sample", worked_file, "--n", "0", "--seed", "1"])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "malformed_input"
+
+
 def test_sample_requires_seed(capsys, worked_file):
     with pytest.raises(SystemExit):
         main(["sample", worked_file, "--n", "10"])
@@ -443,6 +449,54 @@ def test_pole_and_degenerate_exit_3(capsys, tmp_path):
         "error": "degenerate_map",
         "detail": "associated matrix is singular to working precision",
     }
+
+
+COMMANDS = [
+    ("check", "run all self-map tests on one map"),
+    ("image", "image ellipsoid center, shape, polar factors"),
+    ("supnorm", "exact sup of |phi| over the closed ball"),
+    ("decompose", "factor into reflections and affine maps"),
+    ("compose", "composition first(second(z)) as a map file"),
+    ("invert", "inverse map as a map file"),
+    ("krein", "search for a feasible indefinite-contraction scale"),
+    ("sample", "Monte Carlo sup over random boundary points"),
+    ("quadric", "pull a quadric back through the map"),
+    ("agreement", "row-test vs oracle table over random maps"),
+]
+
+
+def _help_text(capsys, monkeypatch, argv):
+    # a fixed width, so argparse wraps the same way on every terminal
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_help_lists_the_commands_in_order(capsys, monkeypatch):
+    out = _help_text(capsys, monkeypatch, [])
+    listed = [line.split(None, 1) for line in out.splitlines() if line.startswith("    ")]
+    assert [(name, help_.strip()) for name, help_ in listed] == COMMANDS
+
+
+@pytest.mark.parametrize(
+    "command, usage",
+    [
+        ("check", "usage: ballmaps check [-h] mapfile"),
+        ("image", "usage: ballmaps image [-h] mapfile"),
+        ("supnorm", "usage: ballmaps supnorm [-h] mapfile"),
+        ("decompose", "usage: ballmaps decompose [-h] mapfile"),
+        ("compose", "usage: ballmaps compose [-h] first second"),
+        ("invert", "usage: ballmaps invert [-h] mapfile"),
+        ("krein", "usage: ballmaps krein [-h] mapfile"),
+        ("sample", "usage: ballmaps sample [-h] --n N --seed SEED mapfile"),
+        ("quadric", "usage: ballmaps quadric [-h] --quadric QUADRIC mapfile"),
+        ("agreement", "usage: ballmaps agreement [-h] [--count COUNT] [--seed SEED]"),
+    ],
+)
+def test_command_usage_lines(capsys, monkeypatch, command, usage):
+    assert _help_text(capsys, monkeypatch, [command]).splitlines()[0] == usage
 
 
 def test_version_flag(capsys):

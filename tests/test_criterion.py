@@ -533,6 +533,16 @@ def test_monte_carlo_sup(worked_map):
     assert a == monte_carlo_sup(worked_map, 10_000, seed=3)
 
 
+def test_sample_counts_are_checked(worked_map):
+    # a sup over no points is no answer; an empty draw is
+    for count in (0, -3):
+        with pytest.raises(ContractViolation):
+            monte_carlo_sup(worked_map, count, seed=1)
+    with pytest.raises(ContractViolation):
+        sphere_points(-1, 2, seed=1)
+    assert sphere_points(0, 2, seed=1).shape == (0, 2)
+
+
 def test_monte_carlo_sup_is_max_over_sphere_points(worked_map):
     # 5000 points take two chunks of the shared sampler
     pts = sphere_points(5000, 2, seed=4)

@@ -1,5 +1,7 @@
 """Linear fractional maps and the associated-matrix calculus."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -222,6 +224,15 @@ def test_evaluate_batch_flags_offending_sample(worked_map):
     with pytest.raises(PoleError) as err:
         evaluate_batch(phi, pts)
     np.testing.assert_allclose(err.value.point, [-0.5], atol=1e-15)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_evaluate_batch_refuses_non_finite_points(worked_map, bad):
+    # refused before any arithmetic, so numpy warns of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractViolation):
+            evaluate_batch(worked_map, [[bad, 0.0]])
 
 
 def test_from_associated_matrix_normalizes_scale(worked_map):
