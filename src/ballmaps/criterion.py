@@ -106,9 +106,8 @@ def krein_metric(n: int) -> np.ndarray:
 def row_criterion(phi: LFMap) -> tuple[np.ndarray, float, np.ndarray]:
     """Per-row ellipsoid test.
 
-    Row i compares |center|^2 + |r_i|^2 - 2 Re<center, r_i> against 1,
-    where r_i is the conjugate transpose of the i-th row of the image
-    ellipsoid's shape matrix; both sides are then rescaled by
+    Row i compares |center|^2 + sum_k |shape_ik|^2 - 2 Re (shape center)_i
+    of the image ellipsoid against 1, both sides rescaled by
     (|d|^2 - |c|^2)^2.  Returns (row_lhs, rhs, verdicts); the verdict
     allows ROW_REL_TOL of slack relative to rhs.  The rows are neither
     necessary nor sufficient for the map to send the ball into itself:
@@ -129,13 +128,9 @@ def _ellipsoid_rows(phi: LFMap, ell: EllipsoidImage):
     do coefficients so small (about 1e-78 and below) that the scale is not
     a normal double.
     """
-    center = ell.center
-    rows = np.conj(ell.shape)
+    center, shape = ell.center, ell.shape
     c2 = float(np.vdot(center, center).real)
-    lhs = np.empty(phi.dim)
-    for i in range(phi.dim):
-        r = rows[i, :]
-        lhs[i] = c2 + float(np.vdot(r, r).real) - 2.0 * float(np.vdot(r, center).real)
+    lhs = c2 + (shape.real**2 + shape.imag**2).sum(axis=1) - 2.0 * (shape @ center).real
     verdicts = lhs <= 1.0 + ROW_REL_TOL
     try:
         scale = (abs(phi.d) ** 2 - float(np.linalg.norm(phi.c)) ** 2) ** 2
@@ -346,10 +341,10 @@ def _sphere_chunks(count: int, dim: int, seed: int):
     base = int(seed) % 2**63
     for chunk_index, done in enumerate(range(0, count, SAMPLE_CHUNK)):
         rng = np.random.default_rng([base, chunk_index])
-        g = rng.standard_normal((SAMPLE_CHUNK, 2 * dim))
+        g = rng.standard_normal((min(SAMPLE_CHUNK, count - done), 2 * dim))
         z = g[:, ::2] + 1j * g[:, 1::2]
         z /= np.linalg.norm(z, axis=1)[:, None]
-        yield z[: min(SAMPLE_CHUNK, count - done)]
+        yield z
 
 
 def sphere_points(count: int, dim: int, seed: int) -> np.ndarray:

@@ -8,7 +8,7 @@ a point set {center + shape @ v : |v| <= 1}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -123,10 +123,13 @@ def automorphism_to_lfmap(aut: BallAutomorphism) -> LFMap:
 
 @dataclass(frozen=True, eq=False)
 class EllipsoidImage:
-    """The set {center + shape @ v : |v| <= 1} in C^N."""
+    """The set {center + shape @ v : |v| <= 1} in C^N.  It owns the one SVD
+    shape = _w diag(_sigma) v* that image_ellipsoid and the sup norm read."""
 
     center: np.ndarray
     shape: np.ndarray
+    _w: np.ndarray = field(init=False, repr=False)
+    _sigma: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         center = linalg.as_vector(self.center).copy()
@@ -137,8 +140,11 @@ class EllipsoidImage:
             )
         center.flags.writeable = False
         shape.flags.writeable = False
+        w, sigma, _ = linalg.svd(shape)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "_w", w)
+        object.__setattr__(self, "_sigma", sigma)
 
     @property
     def dim(self) -> int:
@@ -154,9 +160,11 @@ def image_ellipsoid(phi: LFMap) -> EllipsoidImage:
 
         center = (b' - a' c') / (1 - |c'|^2)
         shape  = (b' c'* - a' (s I + (1 - s) c' c'* / |c'|^2)) / (1 - |c'|^2)
+               = ((b' - a' c' / (1 + s)) c'* - s a') / (1 - |c'|^2)
 
-    where s = sqrt(1 - |c'|^2).  A map with c = 0 is affine and the
-    image is {b' + a' v}.
+    where s = sqrt(1 - |c'|^2) and (1 - s) / |c'|^2 = 1 / (1 + s); a' c' is
+    formed once for both.  A map with c = 0 is affine and the image is
+    {b' + a' v}.  The degeneracy test reads the ellipsoid's own SVD.
     """
     if not phi.pole_free_on_ball:
         raise PoleError("map has poles on the closed unit ball")
@@ -169,16 +177,13 @@ def image_ellipsoid(phi: LFMap) -> EllipsoidImage:
         center, shape = b, a
     else:
         s = np.sqrt(1.0 - cnorm2)
-        one_minus_s = cnorm2 / (1.0 + s)
-        proj = np.outer(c, np.conj(c)) / cnorm2
-        center = (b - a @ c) / (1.0 - cnorm2)
-        shape = (
-            np.outer(b, np.conj(c)) - a @ (s * np.eye(phi.dim) + one_minus_s * proj)
-        ) / (1.0 - cnorm2)
-    sigma = np.linalg.svd(shape, compute_uv=False)
-    if sigma[0] == 0.0 or sigma[-1] <= 1e-14 * sigma[0]:
+        ac = a @ c
+        center = (b - ac) / (1.0 - cnorm2)
+        shape = (np.outer(b - ac / (1.0 + s), np.conj(c)) - s * a) / (1.0 - cnorm2)
+    ell = EllipsoidImage(center, shape)
+    if ell._sigma[0] == 0.0 or ell._sigma[-1] <= 1e-14 * ell._sigma[0]:
         raise DegenerateMapError("image ellipsoid is numerically degenerate")
-    return EllipsoidImage(center, shape)
+    return ell
 
 
 def _secular_sum(gap: float, diffs: list, weights: list) -> tuple[float, float]:
@@ -202,11 +207,11 @@ def _secular_sum(gap: float, diffs: list, weights: list) -> tuple[float, float]:
 def ellipsoid_sup_norm(ell: EllipsoidImage) -> float:
     """sup {|center + shape @ v| : |v| <= 1}.
 
-    With shape = w diag(sigma) v* and coordinates rotated by w, the
-    problem reduces to maximizing |m + diag(sigma) x| over the real
-    nonnegative unit ball, whose stationary condition is the secular
-    equation h = sum_i sigma_i^2 m_i^2 / (lam - sigma_i^2)^2 = 1 with
-    lam > sigma_max^2.  When every component of m along the top singular
+    With the ellipsoid's own SVD shape = w diag(sigma) v* (read, not
+    recomputed) and coordinates rotated by w, the problem reduces to
+    maximizing |m + diag(sigma) x| over the real nonnegative unit ball,
+    whose stationary condition is the secular equation h = sum_i sigma_i^2
+    m_i^2 / (lam - sigma_i^2)^2 = 1 with lam > sigma_max^2.  When every component of m along the top singular
     directions vanishes the root may not exist and the leftover mass sits
     on a top direction instead (the hard case).  Otherwise the root is
     found by Newton's method on 1 / sqrt(h) - 1 in gap = lam - sigma_max^2,
@@ -221,8 +226,8 @@ def ellipsoid_sup_norm(ell: EllipsoidImage) -> float:
     and the result is homogeneous: bit for bit, as long as the SVD itself
     scales exactly.
     """
-    w, sigma, _ = linalg.svd(ell.shape)
-    m = np.abs(w.conj().T @ ell.center)
+    sigma = ell._sigma
+    m = np.abs(ell._w.conj().T @ ell.center)
     # max m_i, not |m|: |m|^2 underflows for tiny ellipsoids.
     e = math.frexp(max(sigma[0], m.max()))[1]
     return math.ldexp(_unit_sup_norm(np.ldexp(sigma, -e), np.ldexp(m, -e)), e)

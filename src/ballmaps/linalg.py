@@ -19,7 +19,7 @@ def as_vector(entries) -> np.ndarray:
     v = np.asarray(entries, dtype=np.complex128)
     if v.ndim != 1:
         raise ShapeError(f"expected a vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ContractViolation("vector entries must be finite")
     return v
 
@@ -29,7 +29,7 @@ def as_matrix(entries) -> np.ndarray:
     m = np.asarray(entries, dtype=np.complex128)
     if m.ndim != 2:
         raise ShapeError(f"expected a matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ContractViolation("matrix entries must be finite")
     return m
 

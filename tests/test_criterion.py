@@ -521,9 +521,12 @@ def test_sphere_points_contract():
     assert pts.shape == (300, 3)
     np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
     np.testing.assert_array_equal(pts, sphere_points(300, 3, seed=9))
-    # chunked substreams: a longer draw extends a shorter one
+    # chunked substreams: a longer draw extends a shorter one, within a
+    # chunk too
     long = sphere_points(5000, 2, seed=9)
     np.testing.assert_array_equal(long[:4096], sphere_points(4096, 2, seed=9))
+    for count in (1, 17, 4095):
+        np.testing.assert_array_equal(sphere_points(count, 2, seed=9), long[:count])
 
 
 def test_monte_carlo_sup(worked_map):

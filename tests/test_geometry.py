@@ -18,8 +18,9 @@ from ballmaps import (
     involution_matrix,
     involution_matrix_inverse,
     project_alpha,
+    row_criterion,
 )
-from ballmaps.criterion import random_unitary
+from ballmaps.criterion import random_pole_free_map, random_unitary
 
 from conftest import random_ball_point
 
@@ -199,6 +200,76 @@ def test_image_ellipsoid_automorphism_is_centered_unitary():
         assert np.linalg.norm(ell.center) < 1e-10
         defect = ell.shape.conj().T @ ell.shape - np.eye(n)
         assert np.max(np.abs(defect)) < 1e-10
+
+
+def _ellipsoid_maps():
+    """Random pole-free maps, N = 1..8, each also with its c replaced by
+    one of the same direction at |c'| = 1e-12 and at 1 - |c'|^2 = 1e-10
+    (c' = c / conj(d))."""
+    rng = np.random.default_rng(39)
+    out = []
+    for n in range(1, 9):
+        phi = random_pole_free_map(n, rng)
+        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        u /= np.linalg.norm(u)
+        out.append((f"random/N={n}", phi))
+        for label, r in (("tiny_c", 1e-12), ("near_sphere", np.sqrt(1.0 - 1e-10))):
+            out.append((f"{label}/N={n}", LFMap(phi.a, phi.b, u * r * np.conj(phi.d), phi.d)))
+    return out
+
+
+ELLIPSOID_MAPS = _ellipsoid_maps()
+
+
+def _mp_complex(mp, z):
+    return mp.mpc(float(z.real), float(z.imag))
+
+
+@pytest.mark.parametrize("label,phi", ELLIPSOID_MAPS, ids=[label for label, _ in ELLIPSOID_MAPS])
+def test_image_ellipsoid_matches_50_digit_formula(label, phi):
+    # The docstring formula in 50 digits, the coefficients taken as exact.
+    # 1 - |c'|^2 is formed from the rounded |c'|^2, so both results carry a
+    # relative error of a few eps / (1 - |c'|^2).
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    n = phi.dim
+    with mpmath.workdps(50):
+        d = _mp_complex(mp, phi.d)
+        a = mp.matrix([[_mp_complex(mp, x) / d for x in row] for row in phi.a])
+        b = mp.matrix([_mp_complex(mp, x) / d for x in phi.b])
+        c = mp.matrix([_mp_complex(mp, x) / mp.conj(d) for x in phi.c])
+        c2 = sum(abs(x) ** 2 for x in c)
+        s = mp.sqrt(1 - c2)
+        center = (b - a * c) / (1 - c2)
+        shape = (b * c.H - a * (s * mp.eye(n) + (1 - s) * (c * c.H) / c2)) / (1 - c2)
+        want_center = np.array([complex(x) for x in center])
+        want_shape = np.array([[complex(shape[i, j]) for j in range(n)] for i in range(n)])
+        gap = float(1 - c2)
+    ell = image_ellipsoid(phi)
+    for got, want in ((ell.center, want_center), (ell.shape, want_shape)):
+        err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+        assert err * gap <= 2e-15, f"{label}: relative error {err:.2e}"
+
+
+@pytest.mark.parametrize("label,phi", ELLIPSOID_MAPS, ids=[label for label, _ in ELLIPSOID_MAPS])
+def test_row_criterion_matches_50_digit_rows(label, phi):
+    # Row i of the image ellipsoid, |center|^2 + |shape_i|^2 - 2 Re (shape
+    # center)_i, in 50 digits and times the reported rhs, relative to
+    # (|center|^2 + |shape_i|^2) rhs: the rows cancel where center is near
+    # the conjugate of a row.
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    ell = image_ellipsoid(phi)
+    lhs, rhs, _ = row_criterion(phi)
+    with mpmath.workdps(50):
+        center = [_mp_complex(mp, x) for x in ell.center]
+        c2 = sum(abs(x) ** 2 for x in center)
+        for i, got in enumerate(lhs):
+            row = [_mp_complex(mp, x) for x in ell.shape[i]]
+            r2 = sum(abs(x) ** 2 for x in row)
+            want = (c2 + r2 - 2 * mp.re(sum(x * y for x, y in zip(row, center)))) * rhs
+            err = float(abs(got - want) / ((c2 + r2) * rhs))
+            assert err <= 2e-15, f"{label}, row {i}: relative error {err:.2e}"
 
 
 def test_sup_norm_frozen_cases():

@@ -1,12 +1,14 @@
-"""LAPACK calls on the benchmark's own check-mixed and factor-pullback maps.
+"""LAPACK calls on the benchmark's own check-mixed, oracle-sweep and
+factor-pullback maps.
 
-The benchmark times check() and the composition calculus on these maps,
-so a change that adds decompositions to them (a search brought back
-beside the Krein walk, or a fold that checks every partial product, say)
-shows up in the benchmark's throughput.  These tests catch it in the unit
-tests already: they count the numpy.linalg decompositions that one
-operation makes against ceilings a little above the counts of the
-current code.  They only read benchmark/gen.py.
+The benchmark times check(), the row test and the oracle, and the
+composition calculus on these maps, so a change that adds decompositions
+to them (a search brought back beside the Krein walk, or a fold that
+checks every partial product, say) shows up in the benchmark's
+throughput.  These tests catch it in the unit tests already: they count
+the numpy.linalg decompositions that one operation makes against
+ceilings a little above the counts of the current code.  They only read
+benchmark/gen.py.
 """
 
 import collections
@@ -23,14 +25,16 @@ from ballmaps import (
     compose_factor_maps,
     factors_to_maps,
     invert,
+    oracle_is_selfmap,
+    row_criterion,
 )
 
 GEN = Path(__file__).resolve().parents[1] / "benchmark" / "gen.py"
 COUNTED = ("eigh", "eig", "eigvals", "eigvalsh", "svd")
 # Mean calls per check() over seeds 1-3; the current code makes interior
-# 8.7, parabolic 9.4 (the worked map and its scaled copies, and the pure
-# translations, included), hyperbolic 8.0 and non-self-map 3.0.
-CEILING = {"interior": 9.5, "parabolic": 10.3, "hyperbolic": 8.8, "nonself": 3.3}
+# 7.7, parabolic 8.4 (the worked map and its scaled copies, and the pure
+# translations, included), hyperbolic 7.0 and non-self-map 2.0.
+CEILING = {"interior": 8.5, "parabolic": 9.3, "hyperbolic": 7.8, "nonself": 2.3}
 
 
 def load_gen():
@@ -73,6 +77,20 @@ def test_check_lapack_calls_per_kind(monkeypatch):
     assert set(per_kind) == set(CEILING)
     for kind, counts in per_kind.items():
         assert np.mean(counts) <= CEILING[kind], (kind, np.mean(counts))
+
+
+def test_oracle_sweep_factors_each_ellipsoid_once(monkeypatch):
+    # The image ellipsoid carries its one SVD: the degeneracy test and the
+    # sup-norm solve both read it.
+    calls = count_calls(monkeypatch)
+    gen = load_gen()
+    for seed in (1, 2, 3):
+        for entry in gen.oracle_sweep(seed):
+            phi = as_map(entry)
+            for route in (row_criterion, oracle_is_selfmap):
+                calls.clear()
+                route(phi)
+                assert dict(calls) == {"svd": 1}, (seed, entry["kind"], route.__name__, calls)
 
 
 def test_composition_calculus_svd_calls(monkeypatch):
