@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, bruhat, criterion, geometry, lfm, linalg, quadric
+from . import __version__, bruhat, criterion, geometry, lfm, quadric
 from .errors import (
     ContractViolation,
     DegenerateMapError,
@@ -162,7 +162,7 @@ def _cmd_check(args) -> dict:
 
 def _cmd_image(args) -> dict:
     ell = geometry.image_ellipsoid(load_mapfile(args.mapfile))
-    psd, unitary = linalg.polar_decompose(ell.shape)
+    psd, unitary = ell.polar_factors()
     return {
         "center": ell.center,
         "shape": ell.shape,

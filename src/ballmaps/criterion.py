@@ -15,6 +15,12 @@ closed ball is an eigenvector (p, 1) of m with J-form |p|^2 - 1 <= 0, for
 the eigenvalue of largest modulus.  The Denjoy-Wolff point of a map with
 no interior fixed point is the isotropic one (Cowen and MacCluer 2000;
 Bisi and Bracci 2002).
+
+Each route factors the one small matrix as few times as it can.  A simple
+eigenvalue of m takes its eigenvector from the one eig of m; only a
+cluster of close eigenvalues (a defective or repeated one) takes an SVD of
+m - lam I.  The least J-form on an eigenspace is in closed form, and the
+Krein pencil applies J to H and to eigenvectors as a sign vector.
 """
 
 from __future__ import annotations
@@ -167,11 +173,13 @@ def _pencil_point(j: np.ndarray, h: np.ndarray, s: float) -> _PencilPoint:
     The slope is -v0* H v0 for the bottom eigenvector v0, a supergradient
     of the concave lambda_min even where eigenvalues cross.  The curvature
     is the second-order perturbation sum 2 sum_k |v_k* H v0|^2 /
-    (lam_0 - lam_k), -inf or nan where the bottom eigenvalue is multiple.
+    (lam_0 - lam_k) where the bottom eigenvalue is simple, and -inf where
+    it is multiple (no second derivative there).
     """
     lam, vec = np.linalg.eigh(j - s * h)
     w = vec.conj().T @ (h @ vec[:, 0])
-    with np.errstate(divide="ignore", invalid="ignore"):
+    curvature = -np.inf
+    if lam[1] > lam[0]:
         curvature = -2.0 * float(np.sum(np.abs(w[1:]) ** 2 / (lam[1:] - lam[0])))
     return _PencilPoint(s, float(lam[0]), -float(w[0].real), curvature)
 
@@ -256,13 +264,14 @@ def krein_check(phi: LFMap) -> float | None:
     m = m / scale
     n = phi.dim
     j = krein_metric(n)
-    h = m.conj().T @ j @ m
+    jd = j.diagonal().real
+    h = (m.conj().T * jd) @ m
     h = (h + h.conj().T) / 2.0
-    mu, vec = np.linalg.eig(j @ h)
+    mu, vec = np.linalg.eig(jd[:, None] * h)
     # s = 1/mu and the slope -mu x* J x of the eigenvalue crossing 0 there
     crossings = sorted(
         (1.0 / z.real, -z.real * form)
-        for z, form in zip(mu.tolist(), (j.diagonal().real @ np.abs(vec) ** 2).tolist())
+        for z, form in zip(mu.tolist(), (jd @ np.abs(vec) ** 2).tolist())
         if z.real > 0.0 and abs(z.imag) <= _KREIN_CLUSTER_RTOL * abs(z)
     )
     # The count of negative eigenvalues of J - s H, 1 just above s = 0: an
@@ -291,8 +300,9 @@ def krein_check(phi: LFMap) -> float | None:
     while hi.s - lo.s > _KREIN_ARGMAX_RTOL * hi.s:
         s_tan = (hi.value - lo.value + lo.slope * lo.s - hi.slope * hi.s) / (lo.slope - hi.slope)
         base = lo if lo.slope <= -hi.slope else hi
-        # A multiple bottom eigenvalue has no curvature (-inf or nan): f may
-        # turn there, so no Newton step, and above all no converged stop.
+        # A multiple bottom eigenvalue (-inf) or an interval end (nan) has no
+        # curvature: f may turn there, so no Newton step, and above all no
+        # converged stop.
         smooth = -np.inf < base.curvature < 0.0
         s_new = base.s - base.slope / base.curvature if smooth else np.nan
         newton = abs(s_new - base.s)
@@ -397,14 +407,21 @@ def _origin_orbit(phi: LFMap, max_doublings: int = 100):
     return False, point if point is not None else np.zeros(n, dtype=np.complex128)
 
 
-def _least_form(basis: np.ndarray, jd: np.ndarray) -> tuple[float, np.ndarray]:
+def _least_form(basis: np.ndarray) -> tuple[float, np.ndarray]:
     """The least J-form x* J x over unit x in the span of orthonormal
-    columns, and the x attaining it."""
-    gram = basis.conj().T @ (jd[:, None] * basis)
-    if gram.shape[0] == 1:
-        return float(gram[0, 0].real), basis[:, 0]
-    vals, vecs = np.linalg.eigh(gram)
-    return float(vals[0]), basis @ vecs[:, 0]
+    columns B, and the x attaining it.
+
+    With r = B* e_{N+1}, the conjugate of B's last row, B* J B = I - 2 r r*,
+    so the least form is 1 - 2|r|^2 at x = -B r / |r|, or at B[:, 0] when
+    B has one column or r = 0.  The sign is free; this one gives x the last
+    coordinate -|r|, as eig and eigh happen to for the README's worked map,
+    whose printed fixed point keeps its signed zeros.
+    """
+    r = basis[-1].conj()
+    r2 = float(np.vdot(r, r).real)
+    if basis.shape[1] == 1 or r2 == 0.0:
+        return 1.0 - 2.0 * r2, basis[:, 0]
+    return 1.0 - 2.0 * r2, basis @ (r / -math.sqrt(r2))
 
 
 def _nonpositive_eigenvector(m: np.ndarray, jd: np.ndarray):
@@ -412,26 +429,31 @@ def _nonpositive_eigenvector(m: np.ndarray, jd: np.ndarray):
     near-null space of m - lam I) of the first eigenvalue lam to reach
     form <= _ISOTROPIC_TOL, else of least form.  Eigenvalues with a
     computed eigenvector of form <= _FORM_TOL go first, each group by
-    decreasing modulus (a later isotropic one is a repelling point).  A
-    defective eigenvalue splits into close computed ones with nearly
-    parallel eigenvectors, whose mean is exact to rounding.  Distinct
-    eigenvalues can look alike (an attracting point near the sphere and
-    its repelling mirror image); their mean leaves m - lam I nonsingular,
-    and each is taken on its own."""
-    size = m.shape[0]
+    decreasing modulus (a later isotropic one is a repelling point).
+
+    An eigenvalue with no other within _CLUSTER_RTOL (relative) is simple:
+    its eigenvector and form are eig's own, and no SVD is made.  A cluster
+    takes the null space of m - lam I.  A defective eigenvalue splits into
+    close computed ones with nearly parallel eigenvectors, whose mean is
+    exact to rounding.  Distinct eigenvalues can look alike (an attracting
+    point near the sphere and its repelling mirror image); their mean
+    leaves m - lam I nonsingular, and each is taken on its own."""
     w, vec = np.linalg.eig(m)
     form = jd @ np.abs(vec) ** 2
     best = None
     for i in np.lexsort((-np.abs(w), form > _FORM_TOL)):
-        group = (np.abs(vec.conj().T @ vec[:, i]) >= 1.0 - _PARALLEL_TOL) & (
-            np.abs(w - w[i]) <= _CLUSTER_RTOL * np.abs(w[i])
-        )
-        lam = complex(np.mean(w[group]))
-        _, sing, vh = np.linalg.svd(m - lam * np.eye(size))
-        if np.count_nonzero(group) > 1 and sing[-1] > _MEAN_RTOL * sing[0]:
-            lam = complex(w[i])
-            _, sing, vh = np.linalg.svd(m - lam * np.eye(size))
-        least, x = _least_form(vh[sing <= max(_NULL_RTOL * sing[0], sing[-1])].conj().T, jd)
+        near = np.abs(w - w[i]) <= _CLUSTER_RTOL * np.abs(w[i])
+        if np.count_nonzero(near) == 1:
+            least, x, lam = float(form[i]), vec[:, i], complex(w[i])
+        else:
+            group = near & (np.abs(vec.conj().T @ vec[:, i]) >= 1.0 - _PARALLEL_TOL)
+            eye = np.eye(len(w))
+            lam = complex(np.mean(w[group]))
+            _, sing, vh = np.linalg.svd(m - lam * eye)
+            if np.count_nonzero(group) > 1 and sing[-1] > _MEAN_RTOL * sing[0]:
+                lam = complex(w[i])
+                _, sing, vh = np.linalg.svd(m - lam * eye)
+            least, x = _least_form(vh[sing <= max(_NULL_RTOL * sing[0], sing[-1])].conj().T)
         if best is None or least < best[0]:
             best = (least, x, lam)
         if least <= _ISOTROPIC_TOL:
@@ -472,7 +494,7 @@ def classify_fixed_point(phi: LFMap, oracle_sup: float) -> tuple[str, np.ndarray
     if vals[0] >= -floor and not np.all(kernel):
         # Two isotropic vectors here (a nearly parabolic hyperbolic map)
         # would give a negative least form; keep the eigenvector then.
-        least, y = _least_form(vecs[:, kernel], jd)
+        least, y = _least_form(vecs[:, kernel])
         if least >= -_ISOTROPIC_TOL:
             x = y
     return CLASS_BOUNDARY, x[:n] / x[n]

@@ -124,12 +124,14 @@ def automorphism_to_lfmap(aut: BallAutomorphism) -> LFMap:
 @dataclass(frozen=True, eq=False)
 class EllipsoidImage:
     """The set {center + shape @ v : |v| <= 1} in C^N.  It owns the one SVD
-    shape = _w diag(_sigma) v* that image_ellipsoid and the sup norm read."""
+    shape = _w diag(_sigma) _v* that image_ellipsoid, the sup norm and the
+    polar factors of `ballmaps image` read."""
 
     center: np.ndarray
     shape: np.ndarray
     _w: np.ndarray = field(init=False, repr=False)
     _sigma: np.ndarray = field(init=False, repr=False)
+    _v: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         center = linalg.as_vector(self.center).copy()
@@ -140,15 +142,20 @@ class EllipsoidImage:
             )
         center.flags.writeable = False
         shape.flags.writeable = False
-        w, sigma, _ = linalg.svd(shape)
+        w, sigma, v = linalg.svd(shape)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "_w", w)
         object.__setattr__(self, "_sigma", sigma)
+        object.__setattr__(self, "_v", v)
 
     @property
     def dim(self) -> int:
         return self.center.shape[0]
+
+    def polar_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """linalg.polar_decompose(shape), read off the SVD held here."""
+        return linalg.polar_from_svd(self._w, self._sigma, self._v)
 
 
 def image_ellipsoid(phi: LFMap) -> EllipsoidImage:

@@ -73,9 +73,12 @@ def polar_decompose(a) -> tuple[np.ndarray, np.ndarray]:
     rank-deficient inputs u is completed unitarily from the singular
     vectors.
     """
-    a = as_square_matrix(a)
-    w, s, v = svd(a)
+    return polar_from_svd(*svd(a))
+
+
+def polar_from_svd(w, s, v) -> tuple[np.ndarray, np.ndarray]:
+    """polar_decompose's (p, u) from an SVD a = w @ diag(s) @ v.conj().T
+    that the caller already holds."""
     p = (w * s) @ w.conj().T
     p = (p + p.conj().T) / 2.0
-    u = w @ v.conj().T
-    return p, u
+    return p, w @ v.conj().T

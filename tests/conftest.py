@@ -1,7 +1,26 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from ballmaps import LFMap
+
+GEN = Path(__file__).resolve().parents[1] / "benchmark" / "gen.py"
+
+
+def load_gen():
+    """benchmark/gen.py as a module: the benchmark's own seeded maps."""
+    spec = importlib.util.spec_from_file_location("benchmark_gen", GEN)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def gen_map(entry) -> LFMap:
+    """The map of a benchmark/gen.py entry, from its associated matrix."""
+    m, n = entry["m"], entry["n"]
+    return LFMap(m[:n, :n], m[:n, n], np.conj(m[n, :n]), m[n, n])
 
 
 @pytest.fixture

@@ -29,12 +29,14 @@ from ballmaps.criterion import (
     CLASS_BOUNDARY,
     CLASS_INTERIOR,
     CLASS_NOT_SELFMAP,
+    _least_form,
+    classify_fixed_point,
     random_pole_free_map,
     random_selfmap_shaped,
     random_unitary,
 )
 
-from conftest import near_sphere_contraction
+from conftest import gen_map, load_gen, near_sphere_contraction
 
 
 def involution_map(alpha):
@@ -744,6 +746,76 @@ def test_classify_expansion():
     report = check(LFMap(2 * np.eye(1), [0.0], [0.0], 1.0))
     assert report.classification == CLASS_NOT_SELFMAP
     assert report.fixed_point is None
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_least_form_matches_eigh_of_the_gram_matrix(k):
+    # B* J B = I - 2 r r* for orthonormal columns B, r the conjugate of B's
+    # last row: the closed form against eigh, also for a B whose last row
+    # is 0 (then every unit x in the span has form 1).
+    rng = np.random.default_rng([59, k])
+    jd = np.ones(10)
+    jd[-1] = -1.0
+    g = rng.standard_normal((10, k)) + 1j * rng.standard_normal((10, k))
+    flat = g.copy()
+    flat[-1] = 0.0
+    for basis in (np.linalg.qr(g)[0], np.linalg.qr(flat)[0]):
+        least, x = _least_form(basis)
+        gram = basis.conj().T @ (jd[:, None] * basis)
+        expected = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)[0]
+        assert abs(least - expected) <= 1e-14
+        assert abs(np.linalg.norm(x) - 1.0) <= 1e-14
+        assert abs(float(jd @ np.abs(x) ** 2) - least) <= 1e-14
+        np.testing.assert_allclose(basis @ (basis.conj().T @ x), x, rtol=0.0, atol=1e-14)
+    assert least == 1.0
+
+
+def test_fixed_point_of_a_simple_eigenvalue_matches_the_svd_null_vector():
+    # Interior and hyperbolic fixed points belong to simple eigenvalues,
+    # read off eig with no SVD: they match the null vector of m - lam I.
+    gen = load_gen()
+    for seed in (1, 2, 3):
+        for entry in gen.check_mixed(seed):
+            if entry["kind"] not in ("interior", "hyperbolic"):
+                continue
+            phi = gen_map(entry)
+            n = phi.dim
+            p = np.array(check(phi).fixed_point)
+            m = phi.associated_matrix()
+            m = m / np.max(np.abs(m))
+            x = np.append(p, 1.0)
+            w = np.linalg.eigvals(m)
+            lam = w[np.argmin(np.abs(w - np.vdot(x, m @ x) / np.vdot(x, x)))]
+            null = np.linalg.svd(m - lam * np.eye(n + 1))[2][-1].conj()
+            np.testing.assert_allclose(p, null[:n] / null[n], rtol=0.0, atol=1e-13)
+
+
+def test_nearly_parabolic_hyperbolic_map_takes_the_svd_path(monkeypatch):
+    # A Siegel dilation w1 -> (1 + eps) w1, w' -> sqrt(1 + eps) w' / 2 has
+    # the eigenvalues 1 + eps and 1 of m within _CLUSTER_RTOL of each
+    # other: a cluster, whose eigenspace comes from the SVD of m - lam I.
+    eps, n = 1e-6, 3
+    rng = np.random.default_rng(60)
+    t = np.eye(n + 1, dtype=np.complex128)
+    t[0, 0] = 1.0 + eps
+    t[1:n, 1:n] *= 0.5 * np.sqrt(1.0 + eps)
+    cases = [siegel_conjugate(t, rng) for _ in range(4)]
+    sups = [oracle_is_selfmap(phi)[0] for phi, _ in cases]
+    svd = np.linalg.svd
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    for (phi, expected), sup in zip(cases, sups):
+        calls.clear()
+        classification, point = classify_fixed_point(phi, sup)
+        assert calls
+        assert classification == CLASS_BOUNDARY
+        bound = 100.0 * np.finfo(float).eps / eps
+        np.testing.assert_allclose(point, expected, rtol=0.0, atol=bound)
 
 
 def test_check_report_worked(worked_map):
