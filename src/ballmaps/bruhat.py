@@ -65,8 +65,7 @@ def bruhat_factorize(m) -> BruhatFactors:
     """
     m = linalg.as_square_matrix(m)
     n = m.shape[0]
-    scale = float(np.max(np.abs(m))) if n else 0.0
-    threshold = PIVOT_TOL * scale
+    threshold = PIVOT_TOL * float(np.max(np.abs(m)))
     work = m.copy()
     u1 = np.eye(n, dtype=np.complex128)
     u2 = np.eye(n, dtype=np.complex128)
@@ -121,6 +120,9 @@ def permutation_to_transpositions(perm) -> list[tuple[int, int]]:
 
 
 def transposition_matrix(n: int, i: int, j: int) -> np.ndarray:
+    """The n x n permutation matrix that swaps rows i and j."""
+    if not (0 <= i < n and 0 <= j < n):
+        raise ContractViolation(f"transposition ({i}, {j}) out of range for size {n}")
     t = np.eye(n, dtype=np.complex128)
     t[[i, j]] = t[[j, i]]
     return t
@@ -178,9 +180,11 @@ def compose_factor_maps(factor_maps) -> LFMap:
     from_associated_matrix.  No map is built for a partial product, so an
     ill-conditioned partial product raises no DegenerateMapError; only the
     folded map must be invertible to working precision.  Factors of
-    different dimension raise ShapeError.
+    different dimension raise ShapeError, and no factors ContractViolation.
     """
     maps = [f.map for f in factor_maps]
+    if not maps:
+        raise ContractViolation("no factors to compose")
     m = maps[0]._m
     for phi in maps[1:]:
         if phi.dim != maps[0].dim:

@@ -1,6 +1,6 @@
 """Self-map tests for linear fractional maps of the unit ball.
 
-Three routes are implemented and cross-checked rather than collapsed:
+Three routes are implemented side by side rather than collapsed into one:
 
 * a per-row inequality on the image ellipsoid (fast, neither necessary
   nor sufficient),
@@ -8,13 +8,13 @@ Three routes are implemented and cross-checked rather than collapsed:
 * a Krein-space contraction test, exact and scale-invariant, for a scale t
   with J - t^2 m* J m positive semidefinite, J = diag(I, -1).
 
-Agreement between the row test and the oracle is measured, never
-assumed.  Classification of verified self-maps reads the fixed point off
-the eigenstructure of the associated matrix m: a fixed point p in the
-closed ball is an eigenvector (p, 1) of m with J-form |p|^2 - 1 <= 0, for
-the eigenvalue of largest modulus.  The Denjoy-Wolff point of a map with
-no interior fixed point is the isotropic one (Cowen and MacCluer 2000;
-Bisi and Bracci 2002).
+discrepancy_flag measures whether the row test agrees with the oracle;
+the Krein route is compared with neither.  Classification of verified
+self-maps reads the fixed point off the eigenstructure of the associated
+matrix m: a fixed point p in the closed ball is an eigenvector (p, 1) of
+m with J-form |p|^2 - 1 <= 0, for the eigenvalue of largest modulus.
+The Denjoy-Wolff point of a map with no interior fixed point is the
+isotropic one (Cowen and MacCluer 2000; Bisi and Bracci 2002).
 
 Each route factors the one small matrix as few times as it can.  A simple
 eigenvalue of m takes its eigenvector from the one eig of m; only a
@@ -359,9 +359,11 @@ def _sphere_chunks(count: int, dim: int, seed: int):
 
 def sphere_points(count: int, dim: int, seed: int) -> np.ndarray:
     """Uniform points on the unit sphere of C^dim, deterministic per seed;
-    a negative count raises ContractViolation."""
+    a negative count or a dim below 1 raises ContractViolation."""
     if count < 0:
         raise ContractViolation(f"sample count must be at least 0, got {count}")
+    if dim < 1:
+        raise ContractViolation(f"dimension must be at least 1, got {dim}")
     out = np.empty((count, dim), dtype=np.complex128)
     for k, z in enumerate(_sphere_chunks(count, dim, seed)):
         out[k * SAMPLE_CHUNK : k * SAMPLE_CHUNK + len(z)] = z

@@ -17,6 +17,18 @@ from .errors import ContractViolation, DegenerateMapError, PoleError, ShapeError
 from .lfm import LFMap
 
 
+def _ball_point(alpha, n: int | None = None) -> tuple[np.ndarray, float]:
+    """alpha through linalg's gate, and |alpha|^2; refused unless alpha lies
+    in the open unit ball and, when n is given, has length n."""
+    alpha = linalg.as_vector(alpha)
+    if n is not None and alpha.shape != (n,):
+        raise ShapeError(f"alpha has shape {alpha.shape}, expected ({n},)")
+    anorm2 = float(np.vdot(alpha, alpha).real)
+    if anorm2 >= 1.0:
+        raise ContractViolation(f"|alpha| = {math.sqrt(anorm2):.3f} must be < 1")
+    return alpha, anorm2
+
+
 def project_alpha(alpha, z) -> tuple[np.ndarray, np.ndarray]:
     """Split z into its components along and orthogonal to alpha.
 
@@ -39,19 +51,17 @@ def ball_involution(alpha, z) -> np.ndarray:
 
     For alpha = 0 this is z -> -z.  Requires |alpha| < 1.
     """
-    alpha = linalg.as_vector(alpha)
     z = linalg.as_vector(z)
-    anorm = float(np.linalg.norm(alpha))
-    if anorm >= 1.0:
-        raise ContractViolation(f"|alpha| = {anorm:.3f} must be < 1")
-    if anorm == 0.0:
+    alpha, anorm2 = _ball_point(alpha, z.shape[0])
+    if anorm2 == 0.0:
         return -z
-    p, q = project_alpha(alpha, z)
+    anorm = float(np.linalg.norm(alpha))
+    p = (np.vdot(alpha, z) / anorm2) * alpha  # project_alpha's p
     s = np.sqrt(1.0 - anorm**2)
     den = 1.0 - np.vdot(alpha, z)
     if abs(den) <= 1e-14 * (1.0 + anorm * np.linalg.norm(z)):
         raise PoleError("involution evaluated at its pole", point=z)
-    return (alpha - p - s * q) / den
+    return (alpha - p - s * (z - p)) / den
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,14 +72,8 @@ class BallAutomorphism:
     rotation: np.ndarray
 
     def __post_init__(self):
-        alpha = linalg.as_vector(self.alpha).copy()
         rot = linalg.as_square_matrix(self.rotation).copy()
-        if rot.shape[0] != alpha.shape[0]:
-            raise ShapeError(
-                f"rotation shape {rot.shape} does not match alpha length {alpha.shape[0]}"
-            )
-        if float(np.linalg.norm(alpha)) >= 1.0:
-            raise ContractViolation("|alpha| must be < 1")
+        alpha = _ball_point(self.alpha, rot.shape[0])[0].copy()
         if np.max(np.abs(rot.conj().T @ rot - np.eye(rot.shape[0]))) > 1e-10:
             raise ContractViolation("rotation must be unitary")
         alpha.flags.writeable = False
@@ -87,10 +91,9 @@ def involution_matrix(alpha) -> np.ndarray:
     beta is the orthogonal projection onto the span of alpha and
     s = sqrt(1 - |alpha|^2).  Requires 0 < |alpha| < 1.
     """
-    alpha = linalg.as_vector(alpha)
-    anorm2 = float(np.vdot(alpha, alpha).real)
-    if anorm2 == 0.0 or anorm2 >= 1.0:
-        raise ContractViolation("need 0 < |alpha| < 1")
+    alpha, anorm2 = _ball_point(alpha)
+    if anorm2 == 0.0:
+        raise ContractViolation("need alpha != 0")
     beta = np.outer(alpha, np.conj(alpha)) / anorm2
     s = np.sqrt(1.0 - anorm2)
     return s * beta - s * np.eye(alpha.shape[0]) - beta
@@ -102,10 +105,9 @@ def involution_matrix_inverse(alpha) -> np.ndarray:
     Rank-one update formula:
         -(1 / (s |alpha|^2)) (|alpha|^2 I + (s - 1) alpha alpha*).
     """
-    alpha = linalg.as_vector(alpha)
-    anorm2 = float(np.vdot(alpha, alpha).real)
-    if anorm2 == 0.0 or anorm2 >= 1.0:
-        raise ContractViolation("need 0 < |alpha| < 1")
+    alpha, anorm2 = _ball_point(alpha)
+    if anorm2 == 0.0:
+        raise ContractViolation("need alpha != 0")
     s = np.sqrt(1.0 - anorm2)
     outer = np.outer(alpha, np.conj(alpha))
     return -(anorm2 * np.eye(alpha.shape[0]) + (s - 1.0) * outer) / (s * anorm2)

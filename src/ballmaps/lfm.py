@@ -10,18 +10,19 @@ The associated matrix is the (N+1) x (N+1) block matrix
     [ a        b ]
     [ conj(c)  d ]
 
-and turns composition of maps into matrix multiplication.  Each map owns
-one read-only copy of it, checked once when the map is built; a and b are
-views into that copy.  Scalar multiples of the associated matrix describe
-the same map, and a map is accepted when that matrix is invertible to
-working precision: its smallest singular value exceeds (N + 1) eps times
-its largest, the default rank rule of numpy's matrix_rank.  The rule is
-scale-invariant, and one private method applies it, whether the map is
-built from its coefficients (LFMap) or from a matrix
-(from_associated_matrix, which compose, invert and the Bruhat fold use).
-Only the map that is returned is checked: a product of several matrices
-is checked once, so an ill-conditioned partial product along the way
-raises nothing.
+and turns composition of maps into matrix multiplication.  Maps act on
+C^N with N >= 1; scalar multiples of their matrix describe the same map.
+
+A map's coefficients are checked once, when it is built: LFMap passes a,
+b, c and d (as a one-entry vector) through linalg's gate (shape,
+nonempty, finite numbers), and from_associated_matrix passes the whole
+matrix.  The map is accepted when its matrix is invertible to working
+precision: its smallest singular value exceeds (N + 1) eps times its
+largest, the scale-invariant default rank rule of numpy's matrix_rank,
+applied by one private method.  compose, invert and the Bruhat fold
+build their result by from_associated_matrix, so a product of several
+matrices is checked once, as a whole, and an ill-conditioned partial
+product along the way raises nothing.
 """
 
 from __future__ import annotations
@@ -52,11 +53,12 @@ class LFMap:
     The coefficients are copied, as given, into one read-only associated
     matrix that the map owns, so later writes to the caller's arrays do
     not reach it.  a and b are read-only views into that matrix, c is the
-    conjugate of its bottom row and d its corner entry.  A non-finite
-    coefficient raises ContractViolation, and DegenerateMapError is raised
-    when the matrix is singular to working precision (see the module
-    docstring).  Conjugating by a ball automorphism near the sphere leaves
-    a map invertible but ill-conditioned; such maps are accepted.
+    conjugate of its bottom row and d its corner entry.  N = 0 or a
+    misshapen coefficient raises ShapeError, an entry that is not a finite
+    number ContractViolation, and a matrix singular to working precision
+    DegenerateMapError (see the module docstring).  Conjugating by a ball
+    automorphism near the sphere leaves a map invertible but
+    ill-conditioned; such maps are accepted.
     """
 
     a: np.ndarray
@@ -66,33 +68,30 @@ class LFMap:
     _m: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=np.complex128)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ShapeError(f"a must be a square matrix, got shape {a.shape}")
+        a = linalg.as_square_matrix(self.a)
+        b = linalg.as_vector(self.b)
+        c = linalg.as_vector(self.c)
         n = a.shape[0]
-        b = np.asarray(self.b, dtype=np.complex128)
-        c = np.asarray(self.c, dtype=np.complex128)
         if b.shape != (n,) or c.shape != (n,):
             raise ShapeError(
                 f"coefficient shapes disagree: a {a.shape}, b {b.shape}, c {c.shape}"
             )
+        d = linalg.as_vector([self.d])[0]
         m = np.empty((n + 1, n + 1), dtype=np.complex128)
         m[:n, :n] = a
         m[:n, n] = b
         m[n, :n] = np.conj(c)
-        m[n, n] = complex(self.d)
+        m[n, n] = d
         self._own(m)
 
     def _own(self, m: np.ndarray) -> None:
         """Check m and make it this map's associated matrix.
 
-        m is a square complex array that no one else holds; it becomes
-        read-only and a, b, c and d are read from it.  This is the one
-        place where the finite test and the invertibility rule live.
+        m is a finite square complex array, at least 2 x 2, that no one
+        else holds; it becomes read-only and a, b, c and d are read from
+        it.  This is the one place where the invertibility rule lives.
         """
         n = m.shape[0] - 1
-        if not np.isfinite(m).all():
-            raise ContractViolation("coefficients must be finite")
         sigma = np.linalg.svd(m, compute_uv=False)
         if sigma[-1] <= (n + 1) * _EPS * sigma[0]:
             raise DegenerateMapError("associated matrix is singular to working precision")
@@ -137,14 +136,9 @@ def from_associated_matrix(m) -> LFMap:
     The matrix is rescaled so the lower-right entry is 1 whenever that
     entry is not negligible against the largest entry; otherwise the
     scale is kept as given.  Either way the map owns a fresh copy, so
-    later writes to m do not reach it.  The copy is checked as LFMap
-    checks its coefficients, once: a matrix that is a product, as in
-    compose or compose_factor_maps, is checked as a whole and its
-    factors' partial products are not.
+    later writes to m do not reach it.  It is checked as a whole.
     """
-    m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {m.shape}")
+    m = linalg.as_square_matrix(m)
     n = m.shape[0] - 1
     if n < 1:
         raise ShapeError("associated matrix must be at least 2 x 2")
@@ -163,11 +157,8 @@ def _norm(v: np.ndarray) -> float:
 
 
 def evaluate(phi: LFMap, z) -> np.ndarray:
-    """Apply the map to a point, guarding against near-pole evaluation."""
-    z = linalg.as_vector(z)
-    if z.shape != (phi.dim,):
-        raise ShapeError(f"point has shape {z.shape}, map acts on C^{phi.dim}")
-    return evaluate_batch(phi, z[None, :])[0]
+    """Apply the map to a point: evaluate_batch on the one row [z]."""
+    return evaluate_batch(phi, [z])[0]
 
 
 def evaluate_batch(phi: LFMap, points) -> np.ndarray:
@@ -177,11 +168,9 @@ def evaluate_batch(phi: LFMap, points) -> np.ndarray:
     denominator is within POLE_TOL (|d| + |c| |z|) of 0 raises PoleError,
     which names the first such row as its sample.
     """
-    pts = np.asarray(points, dtype=np.complex128)
-    if pts.ndim != 2 or pts.shape[1] != phi.dim:
+    pts = linalg.as_matrix(points)
+    if pts.shape[1] != phi.dim:
         raise ShapeError(f"points have shape {pts.shape}, map acts on C^{phi.dim}")
-    if not np.isfinite(pts).all():
-        raise ContractViolation("points must be finite")
     den = pts @ np.conj(phi.c) + phi.d
     floors = POLE_TOL * (abs(phi.d) + _norm(phi.c) * np.linalg.norm(pts, axis=1))
     bad = np.abs(den) <= floors

@@ -1,10 +1,12 @@
 """Dense complex linear algebra kernel sized for small matrices.
 
-Everything here works on square complex128 arrays of modest dimension
-(a dozen rows or so).  Inversion, products and factorizations delegate
-to numpy and so to LAPACK; the wrappers coerce and check their input and
-raise this package's typed errors.  The one caller of inverse is
-lfm.invert: LFMap itself tests its matrix by singular values.
+as_vector, as_matrix and as_square_matrix are the one gate for arrays
+from outside the package, which every constructor uses: they coerce to
+complex128 and raise ShapeError unless the array is nonempty with the
+right number of dimensions, ContractViolation unless its entries are
+finite numbers.  Arrays built from checked ones are not checked again,
+so inverse and svd take checked square matrices (a dozen rows or so)
+and delegate to LAPACK.
 """
 
 from __future__ import annotations
@@ -14,27 +16,30 @@ import numpy as np
 from .errors import ContractViolation, ShapeError, SingularMatrixError
 
 
+def _checked(entries, ndim: int, kind: str) -> np.ndarray:
+    try:
+        a = np.asarray(entries, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ContractViolation(f"{kind} entries must be complex numbers: {exc}") from exc
+    if a.ndim != ndim or a.size == 0:
+        raise ShapeError(f"expected a nonempty {kind}, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ContractViolation(f"{kind} entries must be finite")
+    return a
+
+
 def as_vector(entries) -> np.ndarray:
-    """Coerce to a finite 1-d complex128 array."""
-    v = np.asarray(entries, dtype=np.complex128)
-    if v.ndim != 1:
-        raise ShapeError(f"expected a vector, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise ContractViolation("vector entries must be finite")
-    return v
+    """Coerce to a nonempty, finite 1-d complex128 array."""
+    return _checked(entries, 1, "vector")
 
 
 def as_matrix(entries) -> np.ndarray:
-    """Coerce to a finite 2-d complex128 array."""
-    m = np.asarray(entries, dtype=np.complex128)
-    if m.ndim != 2:
-        raise ShapeError(f"expected a matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ContractViolation("matrix entries must be finite")
-    return m
+    """Coerce to a nonempty, finite 2-d complex128 array."""
+    return _checked(entries, 2, "matrix")
 
 
 def as_square_matrix(entries) -> np.ndarray:
+    """Coerce to a nonempty, finite, square complex128 matrix."""
     m = as_matrix(entries)
     if m.shape[0] != m.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {m.shape}")
@@ -42,14 +47,13 @@ def as_square_matrix(entries) -> np.ndarray:
 
 
 def inverse(a) -> np.ndarray:
-    """Invert a square matrix by LAPACK's LU factorization (numpy's inv).
+    """Invert a checked square matrix by LAPACK's LU factorization (numpy's inv).
 
     LAPACK reports a matrix singular only when a pivot of its LU factor is
     exactly zero; that raises SingularMatrixError with pivot 0.  A matrix
     singular only to rounding is inverted, so callers that need a
     conditioning test make it first, as LFMap does.
     """
-    a = as_square_matrix(a)
     try:
         return np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
@@ -57,11 +61,10 @@ def inverse(a) -> np.ndarray:
 
 
 def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Singular value decomposition a = w @ diag(s) @ v.conj().T.
-
-    Returns (w, s, v) with w, v unitary and s nonnegative descending.
+    """Singular value decomposition a = w @ diag(s) @ v.conj().T of a
+    checked matrix.  Returns (w, s, v) with w, v unitary and s nonnegative
+    descending.
     """
-    a = as_square_matrix(a)
     w, s, vh = np.linalg.svd(a)
     return w, s, vh.conj().T
 
@@ -73,7 +76,7 @@ def polar_decompose(a) -> tuple[np.ndarray, np.ndarray]:
     rank-deficient inputs u is completed unitarily from the singular
     vectors.
     """
-    return polar_from_svd(*svd(a))
+    return polar_from_svd(*svd(as_square_matrix(a)))
 
 
 def polar_from_svd(w, s, v) -> tuple[np.ndarray, np.ndarray]:

@@ -21,10 +21,12 @@ set, and comparisons should go through normalized().
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .bruhat import FactorMap
 from .errors import ContractViolation, ShapeError
 from .lfm import LFMap
@@ -34,7 +36,6 @@ HERMITIAN_STRUCTURE_TOL = 1e-10
 
 def _real_parts(z: np.ndarray) -> np.ndarray:
     """Interleaved real coordinates (Re z_0, Im z_0, Re z_1, ...)."""
-    z = np.asarray(z, dtype=np.complex128)
     x = np.empty(z.shape[:-1] + (2 * z.shape[-1],))
     x[..., 0::2] = z.real
     x[..., 1::2] = z.imag
@@ -58,8 +59,9 @@ class Quadric:
             raise ShapeError("real dimension must be even and positive")
         if b.shape != (s.shape[0],):
             raise ShapeError(f"linear part has shape {b.shape}, expected ({s.shape[0]},)")
-        if not (np.all(np.isfinite(s)) and np.all(np.isfinite(b)) and np.isfinite(self.c)):
-            raise ContractViolation("quadric coefficients must be finite")
+        finite = np.isfinite(s).all() and np.isfinite(b).all()
+        if not (finite and isinstance(self.c, numbers.Real) and np.isfinite(self.c)):
+            raise ContractViolation("quadric coefficients must be finite real numbers")
         s = (s + s.T) / 2.0
         if not (np.any(s) or np.any(b) or self.c != 0.0):
             raise ContractViolation("all-zero quadric")
@@ -96,18 +98,20 @@ def evaluate(q: Quadric, z) -> float:
     return float(evaluate_batch(q, [z])[0])
 
 
-def evaluate_batch(q: Quadric, points: np.ndarray) -> np.ndarray:
-    x = _real_parts(np.asarray(points, dtype=np.complex128))
+def evaluate_batch(q: Quadric, points) -> np.ndarray:
+    """q at each row of an (m, N) array of points, checked by linalg's gate."""
+    pts = linalg.as_matrix(points)
+    if pts.shape[1] != q.dim:
+        raise ShapeError(f"points have shape {pts.shape}, quadric lives in C^{q.dim}")
+    x = _real_parts(pts)
     return np.einsum("ki,ij,kj->k", x, q.s, x) + x @ q.b + q.c
 
 
 def residual(q: Quadric, points) -> float:
     """Largest |q(z)| over the given complex points; 0 for no points."""
-    pts = np.asarray(points, dtype=np.complex128)
-    if pts.size == 0:
+    if np.size(points) == 0:
         return 0.0
-    pts = np.atleast_2d(pts)
-    return float(np.max(np.abs(evaluate_batch(q, pts))))
+    return float(np.max(np.abs(evaluate_batch(q, np.atleast_2d(points)))))
 
 
 def normalized(q: Quadric) -> Quadric:
@@ -159,13 +163,6 @@ def from_hermitian(big: np.ndarray) -> Quadric:
     return Quadric(_real_matrix(big[:n, :n]), 2.0 * _real_parts(big[:n, n]), float(big[n, n].real))
 
 
-def _unwrap_affine(m) -> LFMap:
-    phi = m.map if isinstance(m, FactorMap) else m
-    if float(np.linalg.norm(phi.c)) != 0.0:
-        raise ContractViolation("affine pullback needs a map with c = 0")
-    return phi
-
-
 def _real_matrix(a: np.ndarray) -> np.ndarray:
     """Real 2x2-block representation of a complex matrix, exact."""
     n, k = a.shape
@@ -178,13 +175,14 @@ def _real_matrix(a: np.ndarray) -> np.ndarray:
     return t
 
 
-def pullback_affine(q: Quadric, m) -> Quadric:
-    """Quadric q' with q'(z) = q(m(z)) for an affine (c = 0) map.
+def pullback_affine(q: Quadric, phi: LFMap) -> Quadric:
+    """Quadric q' with q'(z) = q(phi(z)) for an affine (c = 0) map.
 
     Done as the real substitution x -> Tx + t in the quadratic form, so
     it applies to every stored quadric, Hermitian type or not.
     """
-    phi = _unwrap_affine(m)
+    if float(np.linalg.norm(phi.c)) != 0.0:
+        raise ContractViolation("affine pullback needs a map with c = 0")
     if phi.dim != q.dim:
         raise ShapeError(f"map dimension {phi.dim} vs quadric dimension {q.dim}")
     t_mat = _real_matrix(phi.a / phi.d)

@@ -1,0 +1,55 @@
+"""One table of malformed inputs, each with the typed error it must raise.
+
+Arrays pass linalg's gate (nonempty, finite numbers, right number of
+dimensions) and maps act on C^N with N >= 1, so N = 0 is refused where
+the map or its arrays are built, not later by a bare IndexError.
+"""
+
+import numpy as np
+import pytest
+
+from ballmaps import (
+    BallAutomorphism,
+    ContractViolation,
+    EllipsoidImage,
+    LFMap,
+    ShapeError,
+    bruhat_factorize,
+    compose_factor_maps,
+    factors_to_maps,
+    sphere_points,
+)
+from ballmaps.bruhat import transposition_matrix
+from ballmaps.linalg import as_vector
+from ballmaps.quadric import Quadric, evaluate, evaluate_batch, residual
+
+EMPTY = np.zeros((0, 0))
+SPHERE_2 = Quadric(np.eye(4), np.zeros(4), -1.0)
+POINTS_3 = np.full((2, 3), 0.1)
+
+MALFORMED = [
+    ("lfmap_n0", lambda: LFMap(EMPTY, [], [], 1.0), ShapeError),
+    ("identity_n0", lambda: LFMap.identity(0), ShapeError),
+    ("lfmap_ragged_a", lambda: LFMap([[1.0, 0.0], [0.0]], [0, 0], [0, 0], 1.0), ContractViolation),
+    ("lfmap_d_not_a_number", lambda: LFMap(np.eye(1), [0.0], [0.0], None), ContractViolation),
+    ("vector_of_strings", lambda: as_vector(["x"]), ContractViolation),
+    ("ellipsoid_n0", lambda: EllipsoidImage(np.zeros(0), EMPTY), ShapeError),
+    ("automorphism_n0", lambda: BallAutomorphism(np.zeros(0), EMPTY), ShapeError),
+    ("bruhat_n0", lambda: factors_to_maps(bruhat_factorize(EMPTY)), ShapeError),
+    ("transposition_out_of_range", lambda: transposition_matrix(2, 0, 5), ContractViolation),
+    ("transposition_negative", lambda: transposition_matrix(2, -1, 1), ContractViolation),
+    ("compose_no_factors", lambda: compose_factor_maps([]), ContractViolation),
+    ("quadric_points_of_other_dim", lambda: evaluate_batch(SPHERE_2, POINTS_3), ShapeError),
+    ("quadric_point_of_other_dim", lambda: evaluate(SPHERE_2, POINTS_3[0]), ShapeError),
+    ("quadric_residual_other_dim", lambda: residual(SPHERE_2, POINTS_3), ShapeError),
+    ("quadric_complex_c", lambda: Quadric(np.eye(2), np.zeros(2), 1j), ContractViolation),
+    ("quadric_string_c", lambda: Quadric(np.eye(2), np.zeros(2), "1"), ContractViolation),
+    ("sphere_points_dim_0", lambda: sphere_points(3, 0, 1), ContractViolation),
+    ("sphere_points_dim_negative", lambda: sphere_points(3, -1, 1), ContractViolation),
+]
+
+
+@pytest.mark.parametrize("build, error", [row[1:] for row in MALFORMED], ids=[row[0] for row in MALFORMED])
+def test_malformed_input_raises_its_typed_error(build, error):
+    with pytest.raises(error):
+        build()
