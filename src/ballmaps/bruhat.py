@@ -6,11 +6,14 @@ unipotent upper triangular, P a permutation matrix and diag diagonal.
 The permutation then splits into transpositions; each transposition
 gives a coordinate-swap map (a reflection, possibly through the
 homogeneous slot, where it acts as an inversion) while the triangular
-factors give affine maps.
+factors give affine maps.  A reflection depends only on the size and the
+swapped pair, so each one is built and checked once and then shared by
+every factorization: an immutable FactorMap around a read-only matrix.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,12 +146,23 @@ class FactorMap:
     map: LFMap
 
 
+@functools.lru_cache(maxsize=128)
+def _reflection(n: int, i: int, j: int) -> FactorMap:
+    """The reflection factor that swaps homogeneous coordinates i and j of
+    an n x n associated matrix.  It depends on (n, i, j) alone, so it is
+    built and checked once and then shared; 128 entries hold every swap
+    for N <= 8."""
+    return FactorMap("reflection", (i, j), from_associated_matrix(transposition_matrix(n, i, j)))
+
+
 def factors_to_maps(factors: BruhatFactors) -> list[FactorMap]:
     """Expand a factorization into an ordered list of elementary maps.
 
     Composing the returned maps in list order (first entry outermost)
     reproduces the original map.  Identity factors are dropped; a fully
-    trivial factorization yields a single identity factor.
+    trivial factorization yields a single identity factor.  Reflection
+    factors are shared: every factorization that swaps (i, j) at size n
+    returns the same immutable FactorMap.
     """
     n = len(factors.perm)
     dim = n - 1
@@ -158,9 +172,7 @@ def factors_to_maps(factors: BruhatFactors) -> list[FactorMap]:
         out.append(
             FactorMap("multilinear", None, from_associated_matrix(factors.left_unipotent))
         )
-    for i, j in permutation_to_transpositions(factors.perm):
-        t = transposition_matrix(n, i, j)
-        out.append(FactorMap("reflection", (i, j), from_associated_matrix(t)))
+    out.extend(_reflection(n, i, j) for i, j in permutation_to_transpositions(factors.perm))
     if not np.array_equal(factors.diag, eye):
         out.append(FactorMap("multilinear", None, from_associated_matrix(factors.diag)))
     if not np.array_equal(factors.right_unipotent, eye):

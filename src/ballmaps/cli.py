@@ -136,8 +136,8 @@ def load_quadric(path: str) -> quadric.Quadric:
             return quadric.from_standard_form(
                 doc["alphas"], doc["betas"], doc["gammas"], doc["delta"]
             )
-        return quadric.Quadric(np.array(doc["S"], dtype=float), np.array(doc["b"], dtype=float), doc["c"])
-    except (ShapeError, ContractViolation, TypeError, ValueError) as exc:
+        return quadric.Quadric(doc["S"], doc["b"], doc["c"])
+    except (ShapeError, ContractViolation) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 

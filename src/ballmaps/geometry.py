@@ -52,7 +52,12 @@ def ball_involution(alpha, z) -> np.ndarray:
     For alpha = 0 this is z -> -z.  Requires |alpha| < 1.
     """
     z = linalg.as_vector(z)
-    alpha, anorm2 = _ball_point(alpha, z.shape[0])
+    return _involution(*_ball_point(alpha, z.shape[0]), z)
+
+
+def _involution(alpha: np.ndarray, anorm2: float, z: np.ndarray) -> np.ndarray:
+    """ball_involution of a checked z at a checked alpha of its length, with
+    anorm2 = |alpha|^2."""
     if anorm2 == 0.0:
         return -z
     anorm = float(np.linalg.norm(alpha))
@@ -70,19 +75,25 @@ class BallAutomorphism:
 
     alpha: np.ndarray
     rotation: np.ndarray
+    _anorm2: float = field(init=False, repr=False)
 
     def __post_init__(self):
         rot = linalg.as_square_matrix(self.rotation).copy()
-        alpha = _ball_point(self.alpha, rot.shape[0])[0].copy()
+        alpha, anorm2 = _ball_point(self.alpha, rot.shape[0])
+        alpha = alpha.copy()
         if np.max(np.abs(rot.conj().T @ rot - np.eye(rot.shape[0]))) > 1e-10:
             raise ContractViolation("rotation must be unitary")
         alpha.flags.writeable = False
         rot.flags.writeable = False
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "rotation", rot)
+        object.__setattr__(self, "_anorm2", anorm2)
 
     def __call__(self, z) -> np.ndarray:
-        return self.rotation @ ball_involution(self.alpha, z)
+        z = linalg.as_vector(z)
+        if z.shape != self.alpha.shape:
+            raise ShapeError(f"z has shape {z.shape}, automorphism acts on C^{self.alpha.shape[0]}")
+        return self.rotation @ _involution(self.alpha, self._anorm2, z)
 
 
 def involution_matrix(alpha) -> np.ndarray:

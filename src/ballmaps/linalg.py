@@ -4,9 +4,11 @@ as_vector, as_matrix and as_square_matrix are the one gate for arrays
 from outside the package, which every constructor uses: they coerce to
 complex128 and raise ShapeError unless the array is nonempty with the
 right number of dimensions, ContractViolation unless its entries are
-finite numbers.  Arrays built from checked ones are not checked again,
-so inverse and svd take checked square matrices (a dozen rows or so)
-and delegate to LAPACK.
+finite numbers.  as_real is the same gate for the real arrays of a
+quadric: it coerces to float64 and also refuses complex entries, whose
+imaginary parts numpy would drop.  Arrays built from checked ones are
+not checked again, so inverse and svd take checked square matrices (a
+dozen rows or so) and delegate to LAPACK.
 """
 
 from __future__ import annotations
@@ -16,11 +18,14 @@ import numpy as np
 from .errors import ContractViolation, ShapeError, SingularMatrixError
 
 
-def _checked(entries, ndim: int, kind: str) -> np.ndarray:
+def _checked(entries, ndim: int, kind: str, real: bool = False) -> np.ndarray:
+    field = "real" if real else "complex"
     try:
-        a = np.asarray(entries, dtype=np.complex128)
+        if real and np.iscomplexobj(entries):
+            raise TypeError("complex entries")
+        a = np.asarray(entries, dtype=np.float64 if real else np.complex128)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ContractViolation(f"{kind} entries must be complex numbers: {exc}") from exc
+        raise ContractViolation(f"{kind} entries must be {field} numbers: {exc}") from exc
     if a.ndim != ndim or a.size == 0:
         raise ShapeError(f"expected a nonempty {kind}, got shape {a.shape}")
     if not np.isfinite(a).all():
@@ -44,6 +49,11 @@ def as_square_matrix(entries) -> np.ndarray:
     if m.shape[0] != m.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {m.shape}")
     return m
+
+
+def as_real(entries, ndim: int) -> np.ndarray:
+    """Coerce to a nonempty, finite float64 array of ndim (1 or 2) dimensions."""
+    return _checked(entries, ndim, ("vector", "matrix")[ndim - 1], real=True)
 
 
 def inverse(a) -> np.ndarray:

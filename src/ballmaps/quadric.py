@@ -17,10 +17,17 @@ Hermitian type.
 
 Quadrics are projective: an overall real scale does not change the zero
 set, and comparisons should go through normalized().
+
+Quadric and from_standard_form take their arrays through linalg's real
+gate, so complex or non-numeric entries raise ContractViolation and bad
+shapes ShapeError; c must be a real number.  Quadrics the package forms
+itself (pullbacks, normalized) skip that gate but keep the checks that
+can still fail: finite and not all-zero coefficients, with s symmetrised.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -51,38 +58,48 @@ class Quadric:
     c: float
 
     def __post_init__(self):
-        s = np.asarray(self.s, dtype=np.float64)
-        b = np.asarray(self.b, dtype=np.float64)
-        if s.ndim != 2 or s.shape[0] != s.shape[1]:
-            raise ShapeError(f"quadratic part must be square, got {s.shape}")
-        if s.shape[0] % 2 != 0 or s.shape[0] == 0:
-            raise ShapeError("real dimension must be even and positive")
+        s = linalg.as_real(self.s, 2)
+        b = linalg.as_real(self.b, 1)
+        if s.shape[0] != s.shape[1] or s.shape[0] % 2 != 0:
+            raise ShapeError(f"quadratic part must be square of even size, got {s.shape}")
         if b.shape != (s.shape[0],):
             raise ShapeError(f"linear part has shape {b.shape}, expected ({s.shape[0]},)")
-        finite = np.isfinite(s).all() and np.isfinite(b).all()
-        if not (finite and isinstance(self.c, numbers.Real) and np.isfinite(self.c)):
+        if not isinstance(self.c, numbers.Real):
             raise ContractViolation("quadric coefficients must be finite real numbers")
-        s = (s + s.T) / 2.0
-        if not (np.any(s) or np.any(b) or self.c != 0.0):
+        self._own(s, b.copy(), float(self.c))
+
+    def _own(self, s: np.ndarray, b: np.ndarray, c: float) -> None:
+        """Take float64 s and b of matching shapes (b held by no one else)
+        and c as this quadric's coefficients: s is symmetrised, all must be
+        finite and not all zero, and s and b become read-only."""
+        s = s + s.T
+        s /= 2.0
+        if not (np.isfinite(s).all() and np.isfinite(b).all() and math.isfinite(c)):
+            raise ContractViolation("quadric coefficients must be finite real numbers")
+        if not (np.any(s) or np.any(b) or c != 0.0):
             raise ContractViolation("all-zero quadric")
         s.flags.writeable = False
-        b = b.copy()
         b.flags.writeable = False
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", float(self.c))
+        object.__setattr__(self, "c", c)
 
     @property
     def dim(self) -> int:
         return self.s.shape[0] // 2
 
 
+def _quadric(s: np.ndarray, b: np.ndarray, c: float) -> Quadric:
+    """A quadric from coefficients the package formed itself (see _own)."""
+    q = object.__new__(Quadric)
+    q._own(s, b, c)
+    return q
+
+
 def from_standard_form(alphas, betas, gammas, delta: float) -> Quadric:
     """Quadric of sum a_i|z_i|^2 + sum b_i Re(z_i) + sum g_i Im(z_i) + d."""
-    alphas = np.asarray(alphas, dtype=np.float64)
-    betas = np.asarray(betas, dtype=np.float64)
-    gammas = np.asarray(gammas, dtype=np.float64)
-    if not (alphas.shape == betas.shape == gammas.shape) or alphas.ndim != 1:
+    alphas, betas, gammas = (linalg.as_real(v, 1) for v in (alphas, betas, gammas))
+    if not (alphas.shape == betas.shape == gammas.shape):
         raise ShapeError("coefficient vectors must share one length")
     n = alphas.shape[0]
     s = np.zeros((2 * n, 2 * n))
@@ -91,7 +108,7 @@ def from_standard_form(alphas, betas, gammas, delta: float) -> Quadric:
     b = np.empty(2 * n)
     b[0::2] = betas
     b[1::2] = gammas
-    return Quadric(s, b, float(delta))
+    return Quadric(s, b, delta)
 
 
 def evaluate(q: Quadric, z) -> float:
@@ -125,7 +142,7 @@ def normalized(q: Quadric) -> Quadric:
     first = flat[np.nonzero(flat)[0][0]]
     if first < 0:
         scale = -scale
-    return Quadric(q.s / scale, q.b / scale, q.c / scale)
+    return _quadric(q.s / scale, q.b / scale, float(q.c / scale))
 
 
 def to_hermitian(q: Quadric) -> np.ndarray:
@@ -139,28 +156,38 @@ def to_hermitian(q: Quadric) -> np.ndarray:
     s4 = q.s.reshape(n, 2, n, 2)
     sxx, sxy = s4[:, 0, :, 0], s4[:, 0, :, 1]
     syx, syy = s4[:, 1, :, 0], s4[:, 1, :, 1]
-    scale = max(1.0, float(np.max(np.abs(q.s))))
-    defect = max(float(np.max(np.abs(sxx - syy))), float(np.max(np.abs(sxy + syx))))
+    scale = max(1.0, float(abs(q.s).max()))
+    defect = max(float(abs(sxx - syy).max()), float(abs(sxy + syx).max()))
     if defect > HERMITIAN_STRUCTURE_TOL * scale:
         raise ContractViolation(
             "quadratic part is not of Hermitian type (has z_i z_j terms)"
         )
-    h = (sxx + syy) / 2.0 + 1j * (syx - sxy) / 2.0
-    w = (q.b[0::2] + 1j * q.b[1::2]) / 2.0
+    # q.s is exactly symmetric, so this block is Hermitian as formed; adding
+    # 0.0 makes its zeros +0, the bits of the symmetrised (h + h*) / 2.
     big = np.empty((n + 1, n + 1), dtype=np.complex128)
-    big[:n, :n] = (h + h.conj().T) / 2.0
+    big.real[:n, :n] = (sxx + syy) / 2.0 + 0.0
+    big.imag[:n, :n] = (syx - sxy) / 2.0 + 0.0
+    w = (q.b[0::2] + 1j * q.b[1::2]) / 2.0
     big[:n, n] = w
     big[n, :n] = np.conj(w)
     big[n, n] = q.c
     return big
 
 
-def from_hermitian(big: np.ndarray) -> Quadric:
-    """Inverse of to_hermitian; big is (N+1)x(N+1) Hermitian."""
-    big = np.asarray(big, dtype=np.complex128)
+def from_hermitian(big) -> Quadric:
+    """Inverse of to_hermitian; big is (N+1)x(N+1) Hermitian, N >= 1, and
+    passes linalg's gate."""
+    big = linalg.as_square_matrix(big)
+    if big.shape[0] < 2:
+        raise ShapeError(f"Hermitian matrix must be at least 2 x 2, got {big.shape}")
+    return _from_hermitian(big)
+
+
+def _from_hermitian(big: np.ndarray) -> Quadric:
+    """from_hermitian of a square complex matrix the package formed itself."""
     n = big.shape[0] - 1
     big = (big + big.conj().T) / 2.0
-    return Quadric(_real_matrix(big[:n, :n]), 2.0 * _real_parts(big[:n, n]), float(big[n, n].real))
+    return _quadric(_real_matrix(big[:n, :n]), 2.0 * _real_parts(big[:n, n]), float(big[n, n].real))
 
 
 def _real_matrix(a: np.ndarray) -> np.ndarray:
@@ -190,7 +217,7 @@ def pullback_affine(q: Quadric, phi: LFMap) -> Quadric:
     s2 = t_mat.T @ q.s @ t_mat
     b2 = t_mat.T @ (2.0 * (q.s @ t_vec) + q.b)
     c2 = float(t_vec @ q.s @ t_vec + q.b @ t_vec + q.c)
-    return Quadric(s2, b2, c2)
+    return _quadric(s2, b2, c2)
 
 
 def pullback_swap(q: Quadric, i: int, j: int) -> Quadric:
@@ -207,7 +234,7 @@ def pullback_swap(q: Quadric, i: int, j: int) -> Quadric:
     big = to_hermitian(q)
     order = np.arange(n + 1)
     order[i], order[j] = order[j], order[i]
-    return from_hermitian(big[np.ix_(order, order)])
+    return _from_hermitian(big[np.ix_(order, order)])
 
 
 def pullback_reflection(q: Quadric) -> Quadric:
@@ -253,5 +280,5 @@ def pullback_map(q: Quadric, phi: LFMap) -> Quadric:
         if float(np.linalg.norm(phi.c)) == 0.0:
             return pullback_affine(q, phi)
         raise
-    m = phi.associated_matrix()
-    return from_hermitian(m.conj().T @ big @ m)
+    m = phi._m
+    return _from_hermitian(m.conj().T @ big @ m)

@@ -180,3 +180,25 @@ def test_compose_factor_maps_rejects_mixed_dimensions():
     ]
     with pytest.raises(ShapeError):
         compose_factor_maps(pieces)
+
+
+
+def test_reflections_are_shared_and_read_only():
+    # Both permutations split into transpositions that include (1, 3), so the
+    # two factorizations return one and the same reflection factor.
+    rng = np.random.default_rng(19)
+    found = []
+    for perm in ((0, 3, 2, 1), (2, 3, 0, 1)):
+        p = np.zeros((4, 4))
+        p[perm, range(4)] = 1.0
+        u1, u2 = (np.triu(rng.standard_normal((4, 4)), 1) + np.eye(4) for _ in range(2))
+        fac = bruhat_factorize(u1 @ p @ np.diag(rng.uniform(1.0, 2.0, 4)) @ u2)
+        assert fac.perm == perm
+        found.append({f.swap: f for f in factors_to_maps(fac) if f.kind == "reflection"})
+    assert set(found[0]) == {(1, 3)} and set(found[1]) == {(0, 2), (1, 3)}
+    shared = found[0][(1, 3)]
+    assert found[1][(1, 3)] is shared
+    assert not shared.map._m.flags.writeable
+    with pytest.raises(ValueError):
+        shared.map.a[0, 0] = 2.0
+    np.testing.assert_array_equal(shared.map.associated_matrix(), transposition_matrix(4, 1, 3))

@@ -115,6 +115,22 @@ def test_automorphism_validation():
         BallAutomorphism(ALPHA, np.eye(3))
 
 
+def test_automorphism_is_its_rotation_after_ball_involution_bit_for_bit():
+    # The automorphism keeps its checked alpha and |alpha|^2 and calls the
+    # involution kernel directly; the result is the public function's, bits
+    # included, for alpha = 0 too.
+    rng = np.random.default_rng(34)
+    for n in (1, 2, 3, 5):
+        for alpha in (random_alpha(rng, n), np.zeros(n)):
+            aut = BallAutomorphism(alpha, random_unitary(n, rng))
+            for _ in range(5):
+                z = random_ball_point(rng, n)
+                expected = aut.rotation @ ball_involution(alpha, z)
+                assert aut(z).tobytes() == expected.tobytes()
+            with pytest.raises(ShapeError):
+                aut(np.zeros(n + 1))
+
+
 def test_automorphism_and_ellipsoid_own_their_arrays():
     # complex128 input is not coerced, so without a copy the object would
     # freeze the caller's own arrays

@@ -1,7 +1,7 @@
 """One table of malformed inputs, each with the typed error it must raise.
 
 Arrays pass linalg's gate (nonempty, finite numbers, right number of
-dimensions) and maps act on C^N with N >= 1, so N = 0 is refused where
+dimensions; real numbers for a quadric) and maps act on C^N with N >= 1, so N = 0 is refused where
 the map or its arrays are built, not later by a bare IndexError.
 """
 
@@ -21,7 +21,7 @@ from ballmaps import (
 )
 from ballmaps.bruhat import transposition_matrix
 from ballmaps.linalg import as_vector
-from ballmaps.quadric import Quadric, evaluate, evaluate_batch, residual
+from ballmaps.quadric import Quadric, evaluate, evaluate_batch, from_standard_form, residual
 
 EMPTY = np.zeros((0, 0))
 SPHERE_2 = Quadric(np.eye(4), np.zeros(4), -1.0)
@@ -44,6 +44,13 @@ MALFORMED = [
     ("quadric_residual_other_dim", lambda: residual(SPHERE_2, POINTS_3), ShapeError),
     ("quadric_complex_c", lambda: Quadric(np.eye(2), np.zeros(2), 1j), ContractViolation),
     ("quadric_string_c", lambda: Quadric(np.eye(2), np.zeros(2), "1"), ContractViolation),
+    ("quadric_complex_s", lambda: Quadric(np.eye(2) * (1 + 1j), np.zeros(2), -1.0), ContractViolation),
+    ("quadric_complex_b", lambda: Quadric(np.eye(2), [0.5j, 0.0], -1.0), ContractViolation),
+    ("quadric_string_s", lambda: Quadric([["x", "0"], ["0", "1"]], np.zeros(2), -1.0), ContractViolation),
+    ("quadric_ragged_s", lambda: Quadric([[1.0, 0.0], [0.0]], np.zeros(2), -1.0), ContractViolation),
+    ("standard_form_complex_alphas", lambda: from_standard_form([1j], [0], [0], -1.0), ContractViolation),
+    ("standard_form_string_betas", lambda: from_standard_form([1], ["y"], [0], -1.0), ContractViolation),
+    ("standard_form_complex_delta", lambda: from_standard_form([1], [0], [0], 1j), ContractViolation),
     ("sphere_points_dim_0", lambda: sphere_points(3, 0, 1), ContractViolation),
     ("sphere_points_dim_negative", lambda: sphere_points(3, -1, 1), ContractViolation),
 ]

@@ -20,6 +20,8 @@ from ballmaps import (
 )
 from ballmaps.quadric import evaluate, evaluate_batch, normalized, residual, to_hermitian
 
+from conftest import gen_map, load_gen
+
 
 def unit_sphere(n):
     return from_standard_form(np.ones(n), np.zeros(n), np.zeros(n), -1.0)
@@ -235,3 +237,26 @@ def test_non_hermitian_quadric_paths():
     fractional = LFMap(np.eye(1), [0.0], [0.5], 1.0)
     with pytest.raises(ContractViolation):
         pullback_map(q, fractional)
+
+
+def test_pullback_rebuilds_byte_identical_through_the_public_constructor(worked_map):
+    # pullback_map builds its result without the public gate; the public
+    # Quadric makes the very same bytes of it, signed zeros included.
+    gen = load_gen()
+    cases = [(worked_map, unit_sphere(2))]
+    for seed in (1, 2, 3):
+        cases += [(gen_map(e), Quadric(*gen.real_form(e["quadric"]))) for e in gen.factor_pullback(seed)]
+    for phi, q in cases:
+        pulled = pullback_map(q, phi)
+        again = Quadric(pulled.s, pulled.b, pulled.c)
+        assert again.s.tobytes() == pulled.s.tobytes()
+        assert again.b.tobytes() == pulled.b.tobytes()
+        assert type(pulled.c) is float and np.float64(again.c).tobytes() == np.float64(pulled.c).tobytes()
+        assert not (pulled.s.flags.writeable or pulled.b.flags.writeable)
+
+
+def test_overflowing_congruence_raises():
+    # m* Q m overflows for a well-conditioned map with entries of 1e200.
+    phi = LFMap(1e200 * np.eye(2), np.zeros(2), np.zeros(2), 1e200)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ContractViolation, match="finite"):
+        pullback_map(unit_sphere(2), phi)
