@@ -138,8 +138,12 @@ def _ellipsoid_rows(phi: LFMap, ell: EllipsoidImage):
     c2 = float(np.vdot(center, center).real)
     lhs = c2 + (shape.real**2 + shape.imag**2).sum(axis=1) - 2.0 * (shape @ center).real
     verdicts = lhs <= 1.0 + ROW_REL_TOL
+    cr, ci = phi.c.real, phi.c.imag
     try:
-        scale = (abs(phi.d) ** 2 - float(np.linalg.norm(phi.c)) ** 2) ** 2
+        # The square root is np.linalg.norm(phi.c) without its overhead.  It
+        # comes after |d|^2, whose OverflowError spares numpy's overflow in
+        # dot for a pole-free map.
+        scale = (abs(phi.d) ** 2 - math.sqrt(cr.dot(cr) + ci.dot(ci)) ** 2) ** 2
     except OverflowError:
         scale = math.inf
     if not math.isfinite(scale * max(1.0, float(lhs.max()))):

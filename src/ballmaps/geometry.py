@@ -3,6 +3,11 @@
 Covers the standard involutive automorphisms of the ball, the exact
 ellipsoid image of the ball under a pole-free map, and the sup norm of
 a point set {center + shape @ v : |v| <= 1}.
+
+EllipsoidImage(center, shape) takes arrays from outside through linalg's
+gate and copies them.  image_ellipsoid forms its arrays from a checked map
+and builds through the private EllipsoidImage._own, with no gate and no
+copy, keeping only a finite test.
 """
 
 from __future__ import annotations
@@ -138,7 +143,13 @@ def automorphism_to_lfmap(aut: BallAutomorphism) -> LFMap:
 class EllipsoidImage:
     """The set {center + shape @ v : |v| <= 1} in C^N.  It owns the one SVD
     shape = _w diag(_sigma) _v* that image_ellipsoid, the sup norm and the
-    polar factors of `ballmaps image` read."""
+    polar factors of `ballmaps image` read.
+
+    The public constructor takes center and shape through linalg's gate and
+    copies them.  image_ellipsoid forms its arrays from a checked map and
+    builds through _own, with no gate and no copy.  Either way center and
+    shape are read-only.
+    """
 
     center: np.ndarray
     shape: np.ndarray
@@ -153,6 +164,12 @@ class EllipsoidImage:
             raise ShapeError(
                 f"shape matrix {shape.shape} does not match center length {center.shape[0]}"
             )
+        self._own(center, shape)
+
+    def _own(self, center: np.ndarray, shape: np.ndarray) -> None:
+        """Take a finite complex128 center and square shape of its length,
+        held by no one else, as this ellipsoid's: they become read-only and
+        the SVD of shape is taken."""
         center.flags.writeable = False
         shape.flags.writeable = False
         w, sigma, v = linalg.svd(shape)
@@ -184,23 +201,33 @@ def image_ellipsoid(phi: LFMap) -> EllipsoidImage:
 
     where s = sqrt(1 - |c'|^2) and (1 - s) / |c'|^2 = 1 / (1 + s); a' c' is
     formed once for both.  A map with c = 0 is affine and the image is
-    {b' + a' v}.  The degeneracy test reads the ellipsoid's own SVD.
+    {b' + a' v}.  A pole within rounding of the sphere, where 1 - |c'|^2
+    rounds to 0 or below, raises PoleError like a pole on the ball.  The
+    arrays are formed here from a checked map, so the ellipsoid is built
+    without linalg's gate; the finite test below is the one check kept.
+    The degeneracy test reads the ellipsoid's own SVD.
     """
     if not phi.pole_free_on_ball:
         raise PoleError("map has poles on the closed unit ball")
     d = phi.d
     a = phi.a / d
     b = phi.b / d
-    c = phi.c / np.conj(d)
+    c = phi.c / d.conjugate()
     cnorm2 = float(np.vdot(c, c).real)
     if cnorm2 == 0.0:
         center, shape = b, a
     else:
-        s = np.sqrt(1.0 - cnorm2)
+        room = 1.0 - cnorm2
+        if room <= 0.0:
+            raise PoleError("map has poles on the closed unit ball to working precision")
+        s = math.sqrt(room)
         ac = a @ c
-        center = (b - ac) / (1.0 - cnorm2)
-        shape = (np.outer(b - ac / (1.0 + s), np.conj(c)) - s * a) / (1.0 - cnorm2)
-    ell = EllipsoidImage(center, shape)
+        center = (b - ac) / room
+        shape = (np.outer(b - ac / (1.0 + s), c.conj()) - s * a) / room
+    if not (np.isfinite(center).all() and np.isfinite(shape).all()):
+        raise ContractViolation("image ellipsoid entries must be finite")
+    ell = object.__new__(EllipsoidImage)
+    ell._own(center, shape)
     if ell._sigma[0] == 0.0 or ell._sigma[-1] <= 1e-14 * ell._sigma[0]:
         raise DegenerateMapError("image ellipsoid is numerically degenerate")
     return ell
@@ -244,47 +271,56 @@ def ellipsoid_sup_norm(ell: EllipsoidImage) -> float:
     brings max(sigma_max, max m_i) into [1/2, 1).  That division is exact,
     so the thresholds of the solve are relative to the ellipsoid's size
     and the result is homogeneous: bit for bit, as long as the SVD itself
-    scales exactly.
+    scales exactly.  After the one product w* center the solve is scalar
+    Python over at most N terms; |m| and the final sums keep numpy's own
+    reductions, whose order fixes their last bit.
     """
-    sigma = ell._sigma
     m = np.abs(ell._w.conj().T @ ell.center)
+    sigma = ell._sigma.tolist()
     # max m_i, not |m|: |m|^2 underflows for tiny ellipsoids.
     e = math.frexp(max(sigma[0], m.max()))[1]
-    return math.ldexp(_unit_sup_norm(np.ldexp(sigma, -e), np.ldexp(m, -e)), e)
+    m = np.ldexp(m, -e)
+    mnorm = math.sqrt(m.dot(m))  # np.linalg.norm(m), without its overhead
+    sigma = [math.ldexp(s, -e) for s in sigma]
+    return math.ldexp(_unit_sup_norm(sigma, m.tolist(), mnorm), e)
 
 
-def _unit_sup_norm(sigma: np.ndarray, m: np.ndarray) -> float:
-    """The sup norm of ellipsoid_sup_norm, for max(sigma_max, max m_i) < 1."""
-    smax = float(sigma[0])
-    mnorm = float(np.linalg.norm(m))
+def _sum(terms: list) -> float:
+    """np.sum of the terms: numpy's pairwise order, not left to right."""
+    return float(np.add.reduce(terms))
+
+
+def _unit_sup_norm(sigma: list, m: list, mnorm: float) -> float:
+    """The sup norm of ellipsoid_sup_norm, for max(sigma_max, max m_i) < 1,
+    with mnorm = |m|."""
+    smax = sigma[0]
     if mnorm <= 1e-15:
         return smax
     if smax <= 1e-15 * mnorm:
         return mnorm
     ctol = 1e-14 * max(1.0, mnorm)
-    active = m > ctol
-    if not np.any(active):
+    active = [(s, mi) for s, mi in zip(sigma, m) if mi > ctol]
+    if not active:
         return smax
-    sig2 = sigma[active] ** 2
-    diffs = smax**2 - sig2
-    weights = sig2 * m[active] ** 2
-    diff_list, weight_list = diffs.tolist(), weights.tolist()
-    gap_lo = 1e-30 * max(smax**2, mnorm**2)
+    smax2 = smax**2
+    diffs = [smax2 - s * s for s, _ in active]
+    weights = [(s * s) * (mi * mi) for s, mi in active]
+    gap_lo = 1e-30 * max(smax2, mnorm**2)
     gap_hi = (smax + mnorm) ** 2
-    h, k = _secular_sum(gap_lo, diff_list, weight_list)
+    h, k = _secular_sum(gap_lo, diffs, weights)
     if h <= 1.0:
         # Hard case: the active directions cannot absorb all the mass, so
         # the rest rides a top singular direction at lam = sigma_max^2.
-        lam = smax**2
-        safe = diffs > 0.0
-        x = sigma[active][safe] * m[active][safe] / diffs[safe]
-        rest = max(0.0, 1.0 - float(np.sum(x**2)))
+        lam = smax2
+        # (x, y) = (sigma m / d, m lam / d) for the directions below the top.
+        safe = [(s * mi / d, mi * lam / d) for (s, mi), d in zip(active, diffs) if d > 0.0]
+        rest = max(0.0, 1.0 - _sum([x * x for x, _ in safe]))
         sup2 = (
-            float(np.sum((m[active][safe] * lam / diffs[safe]) ** 2))
-            + float(np.sum(m[active][~safe] ** 2))
+            _sum([y * y for _, y in safe])
+            + _sum([mi * mi for (_, mi), d in zip(active, diffs) if not d > 0.0])
             + lam * rest
         )
-        return float(np.sqrt(sup2))
+        return math.sqrt(sup2)
     # Stop when h is 1 to rounding, or when the step is below the rounding
     # of the nearest pole distance d + gap.  sup^2 moves by 2 lam k per unit
     # of gap, and k (gap + min d) <= h, so either test leaves sup^2 within
@@ -292,7 +328,7 @@ def _unit_sup_norm(sigma: np.ndarray, m: np.ndarray) -> float:
     # fixes the gap itself only loosely: no top direction active, or a tied
     # top one with a tiny component.  The last step is still taken when it
     # stays in the bracket: it costs no evaluation.
-    dmin = min(diff_list)
+    dmin = min(diffs)
     lo, hi, gap = gap_lo, gap_hi, gap_lo
     while True:
         if h > 1.0:
@@ -308,7 +344,7 @@ def _unit_sup_norm(sigma: np.ndarray, m: np.ndarray) -> float:
             done = not lo < gap < hi
         if done:
             break
-        h, k = _secular_sum(gap, diff_list, weight_list)
-    lam = smax**2 + gap
-    sup2 = lam * lam * float(np.sum(m[active] ** 2 / (diffs + gap) ** 2))
-    return float(np.sqrt(sup2))
+        h, k = _secular_sum(gap, diffs, weights)
+    lam = smax2 + gap
+    sup2 = lam * lam * _sum([mi * mi / ((d + gap) * (d + gap)) for (_, mi), d in zip(active, diffs)])
+    return math.sqrt(sup2)

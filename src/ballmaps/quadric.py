@@ -66,7 +66,10 @@ class Quadric:
             raise ShapeError(f"linear part has shape {b.shape}, expected ({s.shape[0]},)")
         if not isinstance(self.c, numbers.Real):
             raise ContractViolation("quadric coefficients must be finite real numbers")
-        self._own(s, b.copy(), float(self.c))
+        # Symmetrising entries near the largest double can overflow; _own
+        # then refuses the result as not finite, with no numpy warning first.
+        with np.errstate(over="ignore"):
+            self._own(s, b.copy(), float(self.c))
 
     def _own(self, s: np.ndarray, b: np.ndarray, c: float) -> None:
         """Take float64 s and b of matching shapes (b held by no one else)
@@ -214,10 +217,12 @@ def pullback_affine(q: Quadric, phi: LFMap) -> Quadric:
         raise ShapeError(f"map dimension {phi.dim} vs quadric dimension {q.dim}")
     t_mat = _real_matrix(phi.a / phi.d)
     t_vec = _real_parts(phi.b / phi.d)
-    s2 = t_mat.T @ q.s @ t_mat
-    b2 = t_mat.T @ (2.0 * (q.s @ t_vec) + q.b)
-    c2 = float(t_vec @ q.s @ t_vec + q.b @ t_vec + q.c)
-    return _quadric(s2, b2, c2)
+    # As in pullback_map: overflow comes out not finite, and _own refuses it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        s2 = t_mat.T @ q.s @ t_mat
+        b2 = t_mat.T @ (2.0 * (q.s @ t_vec) + q.b)
+        c2 = float(t_vec @ q.s @ t_vec + q.b @ t_vec + q.c)
+        return _quadric(s2, b2, c2)
 
 
 def pullback_swap(q: Quadric, i: int, j: int) -> Quadric:
@@ -281,4 +286,7 @@ def pullback_map(q: Quadric, phi: LFMap) -> Quadric:
             return pullback_affine(q, phi)
         raise
     m = phi._m
-    return _from_hermitian(m.conj().T @ big @ m)
+    # A congruence that overflows comes out not finite and _own refuses it
+    # with ContractViolation, with no numpy warning first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _from_hermitian(m.conj().T @ big @ m)

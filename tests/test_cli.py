@@ -451,6 +451,24 @@ def test_pole_and_degenerate_exit_3(capsys, tmp_path):
     }
 
 
+def test_pole_within_rounding_of_the_sphere_exits_3(capsys, tmp_path):
+    # |c| < |d| holds, but |c|^2 rounds to 1: a pole, not malformed input.
+    c = [[-0.8127472588738811, -0.05239285356282385], [-0.5662848868512798, -0.12656345844030256]]
+    path = tmp_path / "near_pole.json"
+    path.write_text(
+        json.dumps(
+            {"N": 2, "A": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]], "B": [[0, 0], [0, 0]], "C": c, "D": [1, 0]}
+        )
+    )
+    for command in ("check", "image", "supnorm"):
+        code, out, err = run_cli(capsys, [command, str(path)])
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {
+            "error": "pole_on_ball",
+            "detail": "map has poles on the closed unit ball to working precision",
+        }
+
+
 COMMANDS = [
     ("check", "run all self-map tests on one map"),
     ("image", "image ellipsoid center, shape, polar factors"),

@@ -12,17 +12,26 @@ from ballmaps import (
     ShapeError,
     automorphism_to_lfmap,
     ball_involution,
+    check,
     ellipsoid_sup_norm,
     geometry,
     image_ellipsoid,
     involution_matrix,
     involution_matrix_inverse,
+    oracle_is_selfmap,
     project_alpha,
     row_criterion,
 )
 from ballmaps.criterion import random_pole_free_map, random_unitary
 
-from conftest import random_ball_point
+from conftest import gen_map, load_gen, random_ball_point
+
+# |c| by hypot is 0.9999999999999999, so the map is pole free, but |c|^2 by
+# vdot rounds to 1.0: the pole lies within rounding of the sphere.
+POLE_WITHIN_ROUNDING_C = [
+    -0.8127472588738811 - 0.05239285356282385j,
+    -0.5662848868512798 - 0.12656345844030256j,
+]
 
 ALPHA = np.array([0.5, 0.0], dtype=np.complex128)
 
@@ -183,6 +192,29 @@ def test_image_ellipsoid_affine_branch():
 def test_image_ellipsoid_requires_pole_free():
     with pytest.raises(PoleError):
         image_ellipsoid(LFMap(np.eye(1), [0.0], [2.0], 1.0))
+
+
+def test_image_ellipsoid_refuses_a_pole_within_rounding_of_the_sphere():
+    # The suite turns RuntimeWarning into an error, so a division by
+    # 1 - |c'|^2 = 0 would fail here before any typed error.
+    phi = LFMap(0.5 * np.eye(2), np.zeros(2), POLE_WITHIN_ROUNDING_C, 1.0)
+    assert phi.pole_free_on_ball
+    for route in (image_ellipsoid, row_criterion, oracle_is_selfmap, check):
+        with pytest.raises(PoleError, match="working precision"):
+            route(phi)
+
+
+def test_image_ellipsoid_rebuilds_bit_for_bit_through_the_public_constructor(worked_map):
+    gen = load_gen()
+    maps = [worked_map, LFMap(np.diag([1.0, 2.0j]), [0.1, 0.2j], [0.0, 0.0], 2.0)]
+    maps += [gen_map(e) for seed in (1, 2, 3) for e in gen.oracle_sweep(seed)]
+    for phi in maps:
+        ell = image_ellipsoid(phi)
+        assert not (ell.center.flags.writeable or ell.shape.flags.writeable)
+        again = EllipsoidImage(ell.center, ell.shape)
+        for name in ("center", "shape", "_w", "_sigma", "_v"):
+            assert getattr(again, name).tobytes() == getattr(ell, name).tobytes(), name
+        assert ellipsoid_sup_norm(again).hex() == ellipsoid_sup_norm(ell).hex()
 
 
 def test_image_ellipsoid_boundary_membership():

@@ -256,7 +256,20 @@ def test_pullback_rebuilds_byte_identical_through_the_public_constructor(worked_
 
 
 def test_overflowing_congruence_raises():
-    # m* Q m overflows for a well-conditioned map with entries of 1e200.
+    # m* Q m overflows for a well-conditioned map with entries of 1e200,
+    # and so does the affine substitution of a sphere of scale 1e300.
     phi = LFMap(1e200 * np.eye(2), np.zeros(2), np.zeros(2), 1e200)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ContractViolation, match="finite"):
+    with pytest.raises(ContractViolation, match="finite"):
         pullback_map(unit_sphere(2), phi)
+    big = from_standard_form(np.full(2, 1e300), np.zeros(2), np.zeros(2), -1.0)
+    with pytest.raises(ContractViolation, match="finite"):
+        pullback_affine(big, LFMap(1e10 * np.eye(2), np.zeros(2), np.zeros(2), 1.0))
+
+
+def test_overflowing_symmetrisation_raises():
+    # (s + s^T) / 2 overflows in its sum for off-diagonal entries near the
+    # largest double, though each entry is finite.
+    s = np.eye(4)
+    s[0, 1] = s[1, 0] = 1.7e308
+    with pytest.raises(ContractViolation, match="finite"):
+        Quadric(s, np.zeros(4), 1.0)
