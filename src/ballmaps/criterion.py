@@ -16,11 +16,9 @@ m with J-form |p|^2 - 1 <= 0, for the eigenvalue of largest modulus.
 The Denjoy-Wolff point of a map with no interior fixed point is the
 isotropic one (Cowen and MacCluer 2000; Bisi and Bracci 2002).
 
-Each route factors the one small matrix as few times as it can.  A simple
-eigenvalue of m takes its eigenvector from the one eig of m; only a
-cluster of close eigenvalues (a defective or repeated one) takes an SVD of
-m - lam I.  The least J-form on an eigenspace is in closed form, and the
-Krein pencil applies J to H and to eigenvectors as a sign vector.
+Each route factors the one small matrix as few times as it can.  m / max|m|,
+that scale, J, its sign vector and H = m* J m are formed in one place,
+_pencil, which krein_check and classify_fixed_point both call.
 """
 
 from __future__ import annotations
@@ -161,6 +159,22 @@ def _ellipsoid_rows(phi: LFMap, ell: EllipsoidImage):
     return lhs * scale, float(scale), verdicts
 
 
+def _pencil(phi: LFMap):
+    """(m / max|m|, max|m|, J = krein_metric(N), J's sign vector, H = m* J m
+    symmetrised); a subnormal max|m| raises ContractViolation."""
+    scale = float(np.max(np.abs(phi._m)))
+    if scale < sys.float_info.min:
+        raise ContractViolation(
+            "Krein pencil: m is divided by max|m|, which is below the smallest "
+            "normal double; multiply the coefficients by a common factor"
+        )
+    m = phi._m / scale
+    j = krein_metric(phi.dim)
+    jd = j.diagonal().real
+    h = (m.conj().T * jd) @ m
+    return m, scale, j, jd, (h + h.conj().T) / 2.0
+
+
 class _PencilPoint(NamedTuple):
     """lambda_min(J - s H) at s with its first two derivatives in s; the
     curvature is nan at the interval ends read off eig(J H)."""
@@ -237,7 +251,7 @@ def krein_check(phi: LFMap) -> float | None:
     """The t > 0 maximising lambda_min(J - t^2 m* J m), or None if infeasible.
 
     With m normalised by max|m| and s = t^2 max|m|^2 the matrix is J - s H,
-    H = m* J m, so nothing here depends on the scale of the coefficients.
+    H = m* J m (_pencil), so nothing here depends on the coefficients' scale.
     f(s) = lambda_min(J - s H) is concave with f(0) = -1.  One eig of J H
     gives the zeros s = 1/mu of det(J - s H), mu > 0 real, and the J-form
     x* J x of each unit eigenvector x: the eigenvalue of J - s H crossing
@@ -263,14 +277,7 @@ def krein_check(phi: LFMap) -> float | None:
     Rounding of H can lose s2 near the sphere; then s doubles from s1
     until f turns.  Feasible means max f >= -KREIN_PSD_TOL.
     """
-    m = phi.associated_matrix()
-    scale = float(np.max(np.abs(m)))
-    m = m / scale
-    n = phi.dim
-    j = krein_metric(n)
-    jd = j.diagonal().real
-    h = (m.conj().T * jd) @ m
-    h = (h + h.conj().T) / 2.0
+    _, scale, j, jd, h = _pencil(phi)
     mu, vec = np.linalg.eig(jd[:, None] * h)
     # s = 1/mu and the slope -mu x* J x of the eigenvalue crossing 0 there
     crossings = sorted(
@@ -291,9 +298,9 @@ def krein_check(phi: LFMap) -> float | None:
     ends = [_PencilPoint(s, 0.0, g, np.nan) for s, g in crossings[k : k + 2]]
     lo, hi = ends[0], ends[1] if len(ends) == 2 else None
     # With s2 lost, f can rise past s1 only by rounding: H is exact to about
-    # (n + 1) eps.  Double s while the slope stands above that.
+    # (N + 1) eps.  Double s while the slope stands above that.
     for _ in range(_KREIN_MAX_DOUBLINGS):
-        if hi is not None or lo.slope <= (n + 1) * np.finfo(float).eps:
+        if hi is not None or lo.slope <= (phi.dim + 1) * np.finfo(float).eps:
             break
         lo, hi = _narrow(lo, hi, _pencil_point(j, h, 2.0 * lo.s))
     if hi is None:
@@ -396,8 +403,7 @@ def _origin_orbit(phi: LFMap, max_doublings: int = 100):
     benchmark/tracer.py counts its calls by name.
     """
     n = phi.dim
-    m = phi.associated_matrix()
-    m = m / np.max(np.abs(m))
+    m = _pencil(phi)[0]
     prev = None
     point = None
     for _ in range(max_doublings):
@@ -485,16 +491,11 @@ def classify_fixed_point(phi: LFMap, oracle_sup: float) -> tuple[str, np.ndarray
     """
     if oracle_sup > 1.0 + ORACLE_TOL:
         return CLASS_NOT_SELFMAP, None
-    n = phi.dim
-    m = phi.associated_matrix()
-    m = m / np.max(np.abs(m))
-    jd = np.ones(n + 1)
-    jd[n] = -1.0
+    m, _, j, jd, h = _pencil(phi)
     least, x, lam = _nonpositive_eigenvector(m, jd)
     if oracle_sup < 1.0 - ORACLE_TOL or least < -_ISOTROPIC_TOL:
-        return CLASS_INTERIOR, x[:n] / x[n]
-    g = np.diag(jd) - (m.conj().T * jd) @ m / abs(lam) ** 2
-    vals, vecs = np.linalg.eigh((g + g.conj().T) / 2.0)
+        return CLASS_INTERIOR, x[:-1] / x[-1]
+    vals, vecs = np.linalg.eigh(j - h / abs(lam) ** 2)
     floor = _NULL_RTOL * max(1.0, float(vals[-1]))
     kernel = vals <= floor
     if vals[0] >= -floor and not np.all(kernel):
@@ -503,7 +504,7 @@ def classify_fixed_point(phi: LFMap, oracle_sup: float) -> tuple[str, np.ndarray
         least, y = _least_form(vecs[:, kernel])
         if least >= -_ISOTROPIC_TOL:
             x = y
-    return CLASS_BOUNDARY, x[:n] / x[n]
+    return CLASS_BOUNDARY, x[:-1] / x[-1]
 
 
 def check(phi: LFMap) -> CriterionReport:
@@ -531,9 +532,8 @@ def check(phi: LFMap) -> CriterionReport:
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(g)
-    phases = np.diag(r).copy()
-    phases /= np.abs(phases)
-    return q * phases
+    phases = np.diag(r)
+    return q * (phases / np.abs(phases))
 
 
 def random_selfmap_shaped(

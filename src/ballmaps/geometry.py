@@ -3,16 +3,12 @@
 Covers the standard involutive automorphisms of the ball, the exact
 ellipsoid image of the ball under a pole-free map, and the sup norm of
 a point set {center + shape @ v : |v| <= 1}.
-
-EllipsoidImage(center, shape) takes arrays from outside through linalg's
-gate and copies them.  image_ellipsoid forms its arrays from a checked map
-and builds through the private EllipsoidImage._own, with no gate and no
-copy, keeping only a finite test.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -202,14 +198,19 @@ def image_ellipsoid(phi: LFMap) -> EllipsoidImage:
     where s = sqrt(1 - |c'|^2) and (1 - s) / |c'|^2 = 1 / (1 + s); a' c' is
     formed once for both.  A map with c = 0 is affine and the image is
     {b' + a' v}.  A pole within rounding of the sphere, where 1 - |c'|^2
-    rounds to 0 or below, raises PoleError like a pole on the ball.  The
-    arrays are formed here from a checked map, so the ellipsoid is built
-    without linalg's gate; the finite test below is the one check kept.
+    rounds to 0 or below, raises PoleError like a pole on the ball, and a
+    |d| below the smallest normal double ContractViolation (1/d overflows).
+    Else a checked map gives finite arrays, built without linalg's gate.
     The degeneracy test reads the ellipsoid's own SVD.
     """
     if not phi.pole_free_on_ball:
         raise PoleError("map has poles on the closed unit ball")
     d = phi.d
+    if abs(d) < sys.float_info.min:
+        raise ContractViolation(
+            "image ellipsoid: it divides by d, where |d| is below the smallest "
+            "normal double; multiply the coefficients by a common factor"
+        )
     a = phi.a / d
     b = phi.b / d
     c = phi.c / d.conjugate()
@@ -224,8 +225,6 @@ def image_ellipsoid(phi: LFMap) -> EllipsoidImage:
         ac = a @ c
         center = (b - ac) / room
         shape = (np.outer(b - ac / (1.0 + s), c.conj()) - s * a) / room
-    if not (np.isfinite(center).all() and np.isfinite(shape).all()):
-        raise ContractViolation("image ellipsoid entries must be finite")
     ell = object.__new__(EllipsoidImage)
     ell._own(center, shape)
     if ell._sigma[0] == 0.0 or ell._sigma[-1] <= 1e-14 * ell._sigma[0]:

@@ -211,7 +211,7 @@ def pullback_affine(q: Quadric, phi: LFMap) -> Quadric:
     Done as the real substitution x -> Tx + t in the quadratic form, so
     it applies to every stored quadric, Hermitian type or not.
     """
-    if float(np.linalg.norm(phi.c)) != 0.0:
+    if np.any(phi.c):
         raise ContractViolation("affine pullback needs a map with c = 0")
     if phi.dim != q.dim:
         raise ShapeError(f"map dimension {phi.dim} vs quadric dimension {q.dim}")
@@ -282,7 +282,7 @@ def pullback_map(q: Quadric, phi: LFMap) -> Quadric:
     try:
         big = to_hermitian(q)
     except ContractViolation:
-        if float(np.linalg.norm(phi.c)) == 0.0:
+        if not np.any(phi.c):
             return pullback_affine(q, phi)
         raise
     m = phi._m

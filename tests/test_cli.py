@@ -1,8 +1,10 @@
 """JSON command-line interface: output format, determinism, exit codes."""
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -449,6 +451,33 @@ def test_pole_and_degenerate_exit_3(capsys, tmp_path):
         "error": "degenerate_map",
         "detail": "associated matrix is singular to working precision",
     }
+
+
+def test_subnormal_scale_exits_2(capsys, tmp_path):
+    # max|m| and |d| are below the smallest normal double: malformed input,
+    # not numpy's LinAlgError and a traceback.
+    path = tmp_path / "subnormal.json"
+    path.write_text(
+        json.dumps({"N": 1, "A": [[[1e-313, 0]]], "B": [[5e-314, 0]], "C": [[2.5e-314, 0]], "D": [1e-313, 0]})
+    )
+    for command in ("krein", "check", "image", "supnorm"):
+        code, out, err = run_cli(capsys, [command, str(path)])
+        assert (code, out) == (2, ""), command
+        msg = json.loads(err)
+        assert msg["error"] == "malformed_input", command
+        assert "below the smallest normal double" in msg["detail"], command
+
+
+def test_readme_check_excerpt_is_printed_byte_for_byte(capsys, worked_file):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    excerpt = readme.split("`ballmaps check worked.json` reports", 1)[1].split("\n\n")[1]
+    # Split before each key: no value holds a comma followed by a quote.
+    pairs = re.split(r", (?=\")", " ".join(line.strip() for line in excerpt.splitlines()))
+    assert len(pairs) == 6 and all(re.match(r'"\w+": ', pair) for pair in pairs), pairs
+    code, out, _ = run_cli(capsys, ["check", worked_file])
+    assert code == 0
+    for pair in pairs:
+        assert pair in out, pair
 
 
 def test_pole_within_rounding_of_the_sphere_exits_3(capsys, tmp_path):

@@ -229,6 +229,24 @@ def test_axis_translation_is_rejected_by_one_row():
     assert not report.discrepancy_flag
 
 
+def test_krein_and_classifier_are_equivariant_under_powers_of_two():
+    # m and 2^k m share one pencil (_pencil divides by max|m|): t scales by
+    # 2^-k, and the class and the fixed point keep every bit.
+    for entry in load_gen().check_mixed(1):
+        phi = gen_map(entry)
+        t = krein_check(phi)
+        kind, point = classify_fixed_point(phi, oracle_is_selfmap(phi)[0])
+        for k in (1, 40, 500, -1, -40, -500):
+            scaled = gen_map({**entry, "m": entry["m"] * 2.0**k})
+            t_k = krein_check(scaled)
+            assert (t_k is None) == (t is None), (entry["kind"], k)
+            assert t is None or math.ldexp(t_k, k) == t, (entry["kind"], k)
+            kind_k, point_k = classify_fixed_point(scaled, oracle_is_selfmap(scaled)[0])
+            assert kind_k == kind, (entry["kind"], k)
+            assert (point_k is None) == (point is None), (entry["kind"], k)
+            assert point is None or point_k.tobytes() == point.tobytes(), (entry["kind"], k)
+
+
 def test_krein_metric_layout():
     np.testing.assert_array_equal(krein_metric(2), np.diag([1.0, 1.0, -1.0]))
 

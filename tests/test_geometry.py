@@ -1,5 +1,8 @@
 """Ball automorphisms, image ellipsoids, and the ellipsoid sup norm."""
 
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
@@ -202,6 +205,33 @@ def test_image_ellipsoid_refuses_a_pole_within_rounding_of_the_sphere():
     for route in (image_ellipsoid, row_criterion, oracle_is_selfmap, check):
         with pytest.raises(PoleError, match="working precision"):
             route(phi)
+
+
+def test_image_ellipsoid_at_power_of_two_scales():
+    # A map and its multiples by 2^+-500 have one ellipsoid, bit for bit.
+    # A |d| below the smallest normal double, where 1/d overflows, raises
+    # ContractViolation before any division, with no numpy warning.
+    gen = load_gen()
+    entries = gen.check_mixed(1) + gen.oracle_sweep(1)
+    refused = {-1000: 0, -1040: 0}
+    for entry in entries:
+        ell = image_ellipsoid(gen_map(entry))
+        for k in (500, -500):
+            got = image_ellipsoid(gen_map({**entry, "m": entry["m"] * 2.0**k}))
+            assert got.center.tobytes() == ell.center.tobytes(), k
+            assert got.shape.tobytes() == ell.shape.tobytes(), k
+        for k in refused:
+            phi = gen_map({**entry, "m": entry["m"] * 2.0**k})
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                if abs(phi.d) >= sys.float_info.min:
+                    image_ellipsoid(phi)
+                    continue
+                with pytest.raises(ContractViolation, match="smallest normal double"):
+                    image_ellipsoid(phi)
+            refused[k] += 1
+    # 2 of the 137 maps at 2^-1000 and 135 at 2^-1040 have a subnormal d.
+    assert refused == {-1000: 2, -1040: 135}
 
 
 def test_image_ellipsoid_rebuilds_bit_for_bit_through_the_public_constructor(worked_map):

@@ -15,8 +15,11 @@ from ballmaps import (
     LFMap,
     ShapeError,
     bruhat_factorize,
+    classify_fixed_point,
     compose_factor_maps,
     factors_to_maps,
+    image_ellipsoid,
+    krein_check,
     sphere_points,
 )
 from ballmaps.bruhat import transposition_matrix
@@ -26,6 +29,13 @@ from ballmaps.quadric import Quadric, evaluate, evaluate_batch, from_standard_fo
 EMPTY = np.zeros((0, 0))
 SPHERE_2 = Quadric(np.eye(4), np.zeros(4), -1.0)
 POINTS_3 = np.full((2, 3), 0.1)
+
+
+def subnormal_map():
+    """A map LFMap accepts whose max|m| and |d| are below the smallest
+    normal double, so that 1/max|m| and 1/d overflow."""
+    return LFMap([[1e-313]], [5e-314], [2.5e-314], 1e-313)
+
 
 MALFORMED = [
     ("lfmap_n0", lambda: LFMap(EMPTY, [], [], 1.0), ShapeError),
@@ -53,6 +63,9 @@ MALFORMED = [
     ("standard_form_complex_delta", lambda: from_standard_form([1], [0], [0], 1j), ContractViolation),
     ("sphere_points_dim_0", lambda: sphere_points(3, 0, 1), ContractViolation),
     ("sphere_points_dim_negative", lambda: sphere_points(3, -1, 1), ContractViolation),
+    ("krein_subnormal_scale", lambda: krein_check(subnormal_map()), ContractViolation),
+    ("classify_subnormal_scale", lambda: classify_fixed_point(subnormal_map(), 0.5), ContractViolation),
+    ("ellipsoid_subnormal_d", lambda: image_ellipsoid(subnormal_map()), ContractViolation),
 ]
 
 

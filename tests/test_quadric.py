@@ -1,5 +1,7 @@
 """Real quadrics on C^N and exact pullbacks under factor maps."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -219,6 +221,20 @@ def test_pullback_functoriality():
         np.testing.assert_allclose(lhs.s, rhs.s, atol=1e-10)
         np.testing.assert_allclose(lhs.b, rhs.b, atol=1e-10)
         assert abs(lhs.c - rhs.c) < 1e-10
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-170, 1e200])
+def test_affine_pullback_tests_c_exactly_at_any_scale(scale):
+    # z / (z1/2 + 1) is not affine at any scale, though |c|^2 underflows to
+    # 0 at 1e-170 and overflows at 1e200.
+    phi = LFMap(scale * np.eye(2), np.zeros(2), scale * np.array([0.5, 0.0]), scale)
+    not_hermitian = Quadric(np.diag([1.0, -1.0, 1.0, 1.0]), np.zeros(4), -1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractViolation, match="c = 0"):
+            pullback_affine(unit_sphere(2), phi)
+        with pytest.raises(ContractViolation, match="Hermitian type"):
+            pullback_map(not_hermitian, phi)
 
 
 def test_non_hermitian_quadric_paths():
