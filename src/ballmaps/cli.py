@@ -28,10 +28,6 @@ from .errors import (
 )
 
 
-class InputError(ValueError):
-    """Malformed input file or value; mapped to exit code 2."""
-
-
 def _fmt_float(v: float) -> str:
     if v != v or v in (float("inf"), float("-inf")):
         raise ContractViolation("non-finite value in report")
@@ -73,27 +69,27 @@ def _pair(value, what: str) -> complex:
         or len(value) != 2
         or not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in value)
     ):
-        raise InputError(f"{what} must be an [re, im] pair, got {value!r}")
+        raise ContractViolation(f"{what} must be an [re, im] pair, got {value!r}")
     return complex(value[0], value[1])
 
 
 def _pair_vector(value, n: int, what: str) -> np.ndarray:
     if not isinstance(value, list) or len(value) != n:
-        raise InputError(f"{what} must be a list of {n} [re, im] pairs")
+        raise ContractViolation(f"{what} must be a list of {n} [re, im] pairs")
     return np.array([_pair(v, what) for v in value], dtype=np.complex128)
 
 
 def _read_object(path: str) -> dict:
-    """The JSON object in the file at path; InputError if there is none."""
+    """The JSON object in the file at path; ContractViolation if there is none."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise ContractViolation(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
+        raise ContractViolation(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise InputError(f"{path}: top level must be an object")
+        raise ContractViolation(f"{path}: top level must be an object")
     return doc
 
 
@@ -101,12 +97,12 @@ def load_mapfile(path: str) -> lfm.LFMap:
     doc = _read_object(path)
     missing = {"N", "A", "B", "C", "D"} - doc.keys()
     if missing:
-        raise InputError(f"{path}: missing keys {sorted(missing)}")
+        raise ContractViolation(f"{path}: missing keys {sorted(missing)}")
     n = doc["N"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InputError(f"{path}: N must be a positive integer")
+        raise ContractViolation(f"{path}: N must be a positive integer")
     if not isinstance(doc["A"], list) or len(doc["A"]) != n:
-        raise InputError(f"{path}: A must be an {n}x{n} array of [re, im] pairs")
+        raise ContractViolation(f"{path}: A must be an {n}x{n} array of [re, im] pairs")
     a = np.array(
         [_pair_vector(row, n, "A row") for row in doc["A"]], dtype=np.complex128
     )
@@ -116,7 +112,7 @@ def load_mapfile(path: str) -> lfm.LFMap:
     try:
         return lfm.LFMap(a, b, c, d)
     except (ShapeError, ContractViolation) as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        raise ContractViolation(f"{path}: {exc}") from exc
 
 
 def dump_mapfile(phi: lfm.LFMap) -> dict:
@@ -130,7 +126,7 @@ def load_quadric(path: str) -> quadric.Quadric:
     required = {"alphas", "betas", "gammas", "delta"} if standard else {"S", "b", "c"}
     missing = required - doc.keys()
     if missing:
-        raise InputError(f"{path}: missing keys {sorted(missing)}")
+        raise ContractViolation(f"{path}: missing keys {sorted(missing)}")
     try:
         if standard:
             return quadric.from_standard_form(
@@ -138,7 +134,7 @@ def load_quadric(path: str) -> quadric.Quadric:
             )
         return quadric.Quadric(doc["S"], doc["b"], doc["c"])
     except (ShapeError, ContractViolation) as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        raise ContractViolation(f"{path}: {exc}") from exc
 
 
 def _meta(args, tolerances: dict) -> dict:
@@ -227,7 +223,7 @@ def _cmd_quadric(args) -> dict:
 
 def _cmd_agreement(args) -> dict:
     if args.count < 1:
-        raise InputError("--count must be at least 1")
+        raise ContractViolation("--count must be at least 1")
     table = criterion.agreement_table(args.count, args.seed)
     table["meta"] = _meta(args, {"row_tol": criterion.ROW_REL_TOL, "oracle_tol": criterion.ORACLE_TOL})
     return table
@@ -274,7 +270,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         text = serialize(args.func(args))
-    except (InputError, ShapeError, ContractViolation) as exc:
+    except (ShapeError, ContractViolation) as exc:
         sys.stderr.write(serialize({"error": "malformed_input", "detail": str(exc)}) + "\n")
         return 2
     except PoleError as exc:

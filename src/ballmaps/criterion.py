@@ -33,10 +33,11 @@ import numpy as np
 
 from .errors import ContractViolation
 from .geometry import (
+    BallAutomorphism,
     EllipsoidImage,
+    automorphism_to_lfmap,
     ellipsoid_sup_norm,
     image_ellipsoid,
-    involution_matrix,
 )
 from .lfm import LFMap, evaluate_batch, from_associated_matrix
 
@@ -393,30 +394,10 @@ def monte_carlo_sup(phi: LFMap, count: int, seed: int) -> float:
     return best
 
 
-def _origin_orbit(phi: LFMap, max_doublings: int = 100):
-    """Orbit of 0 under phi, phi^2, phi^4, ... via matrix squaring.
-
-    Returns (converged, point) where point is the limit when the step
-    between successive iterates fell below 1e-12, else the last iterate.
-    No code in the package calls it (classify_fixed_point reads every
-    fixed point off the eigenvectors of m); it stays defined because
-    benchmark/tracer.py counts its calls by name.
-    """
-    n = phi.dim
-    m = _pencil(phi)[0]
-    prev = None
-    point = None
-    for _ in range(max_doublings):
-        den = m[n, n]
-        if abs(den) <= 1e-250 * np.max(np.abs(m)):
-            break
-        point = m[:n, n] / den
-        if prev is not None and np.linalg.norm(point - prev) < 1e-12:
-            return True, point
-        prev = point
-        m = m @ m
-        m = m / np.max(np.abs(m))
-    return False, point if point is not None else np.zeros(n, dtype=np.complex128)
+def _origin_orbit(phi: LFMap):
+    """No caller: benchmark/tracer.py counts calls to this name, and
+    tests/test_benchmark_tracer.py requires each name it counts to exist."""
+    raise NotImplementedError("criterion._origin_orbit has no body")
 
 
 def _least_form(basis: np.ndarray) -> tuple[float, np.ndarray]:
@@ -552,11 +533,7 @@ def random_selfmap_shaped(
     shape /= np.linalg.svd(shape, compute_uv=False)[0]
     shape *= rng.uniform(0.4, 1.0)
     center = 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    inv_m = np.zeros((n + 1, n + 1), dtype=np.complex128)
-    inv_m[:n, :n] = involution_matrix(alpha)
-    inv_m[:n, n] = alpha
-    inv_m[n, :n] = np.conj(-alpha)
-    inv_m[n, n] = 1.0
+    inv_m = automorphism_to_lfmap(BallAutomorphism(alpha, np.eye(n)))._m
 
     def build(sh, ce):
         place = np.eye(n + 1, dtype=np.complex128)

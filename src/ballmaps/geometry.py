@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ContractViolation, DegenerateMapError, PoleError, ShapeError
-from .lfm import LFMap
+from .lfm import POLE_TOL, LFMap
 
 
 def _ball_point(alpha, n: int | None = None) -> tuple[np.ndarray, float]:
@@ -58,16 +58,15 @@ def ball_involution(alpha, z) -> np.ndarray:
 
 def _involution(alpha: np.ndarray, anorm2: float, z: np.ndarray) -> np.ndarray:
     """ball_involution of a checked z at a checked alpha of its length, with
-    anorm2 = |alpha|^2."""
+    anorm2 = |alpha|^2: (involution_matrix(alpha) z + alpha) / (1 - <z, alpha>),
+    and -z at alpha = 0.  evaluate_batch's pole rule, a denominator within
+    lfm.POLE_TOL (1 + |alpha| |z|) of 0, raises PoleError."""
     if anorm2 == 0.0:
         return -z
-    anorm = float(np.linalg.norm(alpha))
-    p = (np.vdot(alpha, z) / anorm2) * alpha  # project_alpha's p
-    s = np.sqrt(1.0 - anorm**2)
     den = 1.0 - np.vdot(alpha, z)
-    if abs(den) <= 1e-14 * (1.0 + anorm * np.linalg.norm(z)):
+    if abs(den) <= POLE_TOL * (1.0 + math.sqrt(anorm2) * np.linalg.norm(z)):
         raise PoleError("involution evaluated at its pole", point=z)
-    return (alpha - p - s * (z - p)) / den
+    return (involution_matrix(alpha) @ z + alpha) / den
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,7 +19,8 @@ nonempty, finite numbers), and from_associated_matrix passes the whole
 matrix.  The map is accepted when its matrix is invertible to working
 precision: its smallest singular value exceeds (N + 1) eps times its
 largest, the scale-invariant default rank rule of numpy's matrix_rank,
-applied by one private method.  compose, invert and the Bruhat fold
+applied by one private method, which first refuses a largest singular
+value that is not a finite double.  compose, invert and the Bruhat fold
 build their result by from_associated_matrix, so a product of several
 matrices is checked once, as a whole, and an ill-conditioned partial
 product along the way raises nothing.
@@ -55,10 +56,10 @@ class LFMap:
     not reach it.  a and b are read-only views into that matrix, c is the
     conjugate of its bottom row and d its corner entry.  N = 0 or a
     misshapen coefficient raises ShapeError, an entry that is not a finite
-    number ContractViolation, and a matrix singular to working precision
-    DegenerateMapError (see the module docstring).  Conjugating by a ball
-    automorphism near the sphere leaves a map invertible but
-    ill-conditioned; such maps are accepted.
+    number or a norm past the largest double ContractViolation, and a matrix
+    singular to working precision DegenerateMapError (see the module
+    docstring).  Conjugating by a ball automorphism near the sphere leaves a
+    map invertible but ill-conditioned; such maps are accepted.
     """
 
     a: np.ndarray
@@ -93,6 +94,11 @@ class LFMap:
         """
         n = m.shape[0] - 1
         sigma = np.linalg.svd(m, compute_uv=False)
+        if not math.isfinite(sigma[0]):
+            raise ContractViolation(
+                "associated matrix: its largest singular value is not a finite "
+                "double; divide the coefficients by a common factor"
+            )
         if sigma[-1] <= (n + 1) * _EPS * sigma[0]:
             raise DegenerateMapError("associated matrix is singular to working precision")
         m.flags.writeable = False

@@ -60,3 +60,9 @@ def test_traced_check_reaches_every_route():
             assert min(made.values()) >= 1, made
     finally:
         tracer.uninstall()
+
+
+def test_origin_orbit_is_a_stub_that_raises(worked_map):
+    # The tracer's counter is all that keeps the name; nothing may call it.
+    with pytest.raises(NotImplementedError):
+        criterion._origin_orbit(worked_map)

@@ -9,7 +9,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ballmaps import __version__, bruhat, compose, criterion, geometry, invert, linalg, quadric
+from ballmaps import (
+    ContractViolation,
+    __version__,
+    bruhat,
+    compose,
+    criterion,
+    geometry,
+    invert,
+    linalg,
+    quadric,
+)
 from ballmaps.cli import dump_mapfile, load_mapfile, main, serialize
 
 from conftest import random_ball_point
@@ -43,6 +53,12 @@ def test_serialize_is_deterministic_json():
     parsed = json.loads(text)
     assert parsed["x"] == 1.0 / 3.0 and parsed["z"] == [1.0, -2.0]
     assert parsed["flag"] is True and parsed["none"] is None
+
+
+@pytest.mark.parametrize("value", [float("nan"), {"x": [complex(1.0, float("inf"))]}, object()])
+def test_serialize_refuses_what_json_cannot_hold(value):
+    with pytest.raises(ContractViolation):
+        serialize(value)
 
 
 def test_check_command(capsys, worked_file):
@@ -419,6 +435,77 @@ def test_malformed_input_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["check", str(wrong)])
     assert code == 2
     assert json.loads(err)["error"] == "malformed_input"
+
+
+# One case per input check of the map and quadric readers: (what the file
+# holds, or None for no file, the argv after the file names, the detail
+# printed, with {path} for the file).
+INPUT_CHECKS = {
+    "entry_not_a_pair": (
+        {**WORKED, "D": [3]},
+        ["check", "{path}"],
+        "D must be an [re, im] pair, got [3]",
+    ),
+    "row_of_wrong_length": (
+        {**WORKED, "A": [[[1, 0]], [[0, 0], [2, 0]]]},
+        ["check", "{path}"],
+        "A row must be a list of 2 [re, im] pairs",
+    ),
+    "top_level_not_an_object": ([WORKED], ["check", "{path}"], "{path}: top level must be an object"),
+    "map_missing_keys": (
+        {"N": 2, "A": WORKED["A"]},
+        ["check", "{path}"],
+        "{path}: missing keys ['B', 'C', 'D']",
+    ),
+    "quadric_missing_keys": (
+        {"alphas": [1, 1]},
+        ["quadric", "{worked}", "--quadric", "{path}"],
+        "{path}: missing keys ['betas', 'delta', 'gammas']",
+    ),
+    "a_with_wrong_row_count": (
+        {**WORKED, "A": WORKED["A"][:1]},
+        ["check", "{path}"],
+        "{path}: A must be an 2x2 array of [re, im] pairs",
+    ),
+    "quadric_refused": (
+        {"S": [[1, 0]], "b": [0, 0], "c": -1},
+        ["quadric", "{worked}", "--quadric", "{path}"],
+        "{path}: quadratic part must be square of even size, got (1, 2)",
+    ),
+    "agreement_count_0": (None, ["agreement", "--count", "0"], "--count must be at least 1"),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_CHECKS)
+def test_each_input_check_exits_2(capsys, tmp_path, worked_file, case):
+    doc, argv, detail = INPUT_CHECKS[case]
+    path = tmp_path / "input.json"
+    if doc is not None:
+        path.write_text(json.dumps(doc))
+    names = {"path": str(path), "worked": worked_file}
+    code, out, err = run_cli(capsys, [arg.format(**names) for arg in argv])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "malformed_input", "detail": detail.format(**names)}
+
+
+def test_coefficients_past_the_largest_double_exit_2(capsys, tmp_path):
+    # An entry whose modulus overflows raised a bare OverflowError (exit 1),
+    # and a norm that overflows read as a singular matrix (exit 3).
+    docs = {
+        "entry": {"N": 1, "A": [[[1e308, 0]]], "B": [[0, 0]], "C": [[0, 0]], "D": [1.5e308, 1.5e308]},
+        "norm": {"N": 1, "A": [[[1.7e308, 0]]], "B": [[1.7e308, 0]], "C": [[0, 0]], "D": [1.7e308, 0]},
+    }
+    for kind, doc in docs.items():
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(doc))
+        for command in ("check", "krein"):
+            code, out, err = run_cli(capsys, [command, str(path)])
+            assert (code, out) == (2, ""), (kind, command)
+            assert json.loads(err) == {
+                "error": "malformed_input",
+                "detail": f"{path}: associated matrix: its largest singular value is not a "
+                "finite double; divide the coefficients by a common factor",
+            }
 
 
 def test_pole_and_degenerate_exit_3(capsys, tmp_path):

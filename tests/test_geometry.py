@@ -555,6 +555,11 @@ def test_sup_norm_keeps_a_centre_below_the_old_absolute_threshold():
     assert abs(ellipsoid_sup_norm(ell) - (1e-8 + 1e-21)) <= 1e-15 * 1e-8
 
 
+def test_sup_norm_of_a_negligible_shape_is_the_centre_norm():
+    # sigma_max at most 1e-15 |centre| is dropped: the sup is |centre| exactly
+    assert ellipsoid_sup_norm(EllipsoidImage([0.6, 0], 1e-20 * np.eye(2))) == 0.6
+
+
 def test_sup_norm_secular_evaluations(monkeypatch):
     # Count evaluations through the module global, as the benchmark tracer
     # does: a solver that stops calling it also fails here.

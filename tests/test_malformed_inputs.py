@@ -18,13 +18,24 @@ from ballmaps import (
     classify_fixed_point,
     compose_factor_maps,
     factors_to_maps,
+    from_associated_matrix,
     image_ellipsoid,
     krein_check,
+    pullback_affine,
+    pullback_map,
     sphere_points,
 )
+from ballmaps import lfm
 from ballmaps.bruhat import transposition_matrix
 from ballmaps.linalg import as_vector
-from ballmaps.quadric import Quadric, evaluate, evaluate_batch, from_standard_form, residual
+from ballmaps.quadric import (
+    Quadric,
+    evaluate,
+    evaluate_batch,
+    from_hermitian,
+    from_standard_form,
+    residual,
+)
 
 EMPTY = np.zeros((0, 0))
 SPHERE_2 = Quadric(np.eye(4), np.zeros(4), -1.0)
@@ -66,6 +77,28 @@ MALFORMED = [
     ("krein_subnormal_scale", lambda: krein_check(subnormal_map()), ContractViolation),
     ("classify_subnormal_scale", lambda: classify_fixed_point(subnormal_map(), 0.5), ContractViolation),
     ("ellipsoid_subnormal_d", lambda: image_ellipsoid(subnormal_map()), ContractViolation),
+    # Past the largest double: an entry's modulus (numpy's SVD returns nan)
+    # or the norm (inf).  from_associated_matrix divides by d unless d is
+    # negligible, so its overflowing norm comes with d = 1.
+    ("lfmap_overflowing_entry", lambda: LFMap([[1e308]], [0.0], [0.0], complex(1.5e308, 1.5e308)), ContractViolation),
+    ("lfmap_overflowing_norm", lambda: LFMap([[1.7e308]], [1.7e308], [0.0], 1.7e308), ContractViolation),
+    (
+        "associated_matrix_overflowing_entry",
+        lambda: from_associated_matrix([[1e308, 0.0], [0.0, complex(1.5e308, 1.5e308)]]),
+        ContractViolation,
+    ),
+    (
+        "associated_matrix_overflowing_norm",
+        lambda: from_associated_matrix([[1.7e308, 1.7e308], [0.0, 1.0]]),
+        ContractViolation,
+    ),
+    ("associated_matrix_1x1", lambda: from_associated_matrix([[1.0]]), ShapeError),
+    ("map_points_of_other_dim", lambda: lfm.evaluate_batch(LFMap.identity(2), POINTS_3), ShapeError),
+    ("ellipsoid_center_vs_shape", lambda: EllipsoidImage(np.zeros(3), np.eye(2)), ShapeError),
+    ("standard_form_unequal_lengths", lambda: from_standard_form([1, 1], [0], [0, 0], -1.0), ShapeError),
+    ("hermitian_1x1", lambda: from_hermitian([[1.0]]), ShapeError),
+    ("pullback_affine_other_dim", lambda: pullback_affine(SPHERE_2, LFMap.identity(3)), ShapeError),
+    ("pullback_map_other_dim", lambda: pullback_map(SPHERE_2, LFMap.identity(3)), ShapeError),
 ]
 
 
