@@ -45,7 +45,6 @@ from .geometry import (
     image_ellipsoid,
     involution_matrix,
     involution_matrix_inverse,
-    project_alpha,
 )
 from .lfm import (
     LFMap,
@@ -106,7 +105,6 @@ __all__ = [
     "monte_carlo_sup",
     "oracle_is_selfmap",
     "permutation_to_transpositions",
-    "project_alpha",
     "pullback_affine",
     "pullback_chain",
     "pullback_factor",

@@ -102,7 +102,7 @@ def load_mapfile(path: str) -> lfm.LFMap:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ContractViolation(f"{path}: N must be a positive integer")
     if not isinstance(doc["A"], list) or len(doc["A"]) != n:
-        raise ContractViolation(f"{path}: A must be an {n}x{n} array of [re, im] pairs")
+        raise ContractViolation(f"{path}: A must be a list of {n} rows of {n} [re, im] pairs")
     a = np.array(
         [_pair_vector(row, n, "A row") for row in doc["A"]], dtype=np.complex128
     )

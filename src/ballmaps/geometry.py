@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ContractViolation, DegenerateMapError, PoleError, ShapeError
-from .lfm import POLE_TOL, LFMap
+from .lfm import LFMap, evaluate
 
 
 def _ball_point(alpha, n: int | None = None) -> tuple[np.ndarray, float]:
@@ -30,70 +30,45 @@ def _ball_point(alpha, n: int | None = None) -> tuple[np.ndarray, float]:
     return alpha, anorm2
 
 
-def project_alpha(alpha, z) -> tuple[np.ndarray, np.ndarray]:
-    """Split z into its components along and orthogonal to alpha.
-
-    Returns (p, q) with p the orthogonal projection of z onto the span
-    of alpha and q = z - p.  For alpha = 0 the projection is zero.
-    """
-    alpha = linalg.as_vector(alpha)
-    z = linalg.as_vector(z)
-    if alpha.shape != z.shape:
-        raise ShapeError(f"shape mismatch: alpha {alpha.shape}, z {z.shape}")
-    norm2 = float(np.vdot(alpha, alpha).real)
-    if norm2 == 0.0:
-        return np.zeros_like(z), z.copy()
-    p = (np.vdot(alpha, z) / norm2) * alpha
-    return p, z - p
-
-
-def ball_involution(alpha, z) -> np.ndarray:
-    """The involutive ball automorphism exchanging 0 and alpha.
-
-    For alpha = 0 this is z -> -z.  Requires |alpha| < 1.
-    """
-    z = linalg.as_vector(z)
-    return _involution(*_ball_point(alpha, z.shape[0]), z)
-
-
-def _involution(alpha: np.ndarray, anorm2: float, z: np.ndarray) -> np.ndarray:
-    """ball_involution of a checked z at a checked alpha of its length, with
-    anorm2 = |alpha|^2: (involution_matrix(alpha) z + alpha) / (1 - <z, alpha>),
-    and -z at alpha = 0.  evaluate_batch's pole rule, a denominator within
-    lfm.POLE_TOL (1 + |alpha| |z|) of 0, raises PoleError."""
-    if anorm2 == 0.0:
-        return -z
-    den = 1.0 - np.vdot(alpha, z)
-    if abs(den) <= POLE_TOL * (1.0 + math.sqrt(anorm2) * np.linalg.norm(z)):
-        raise PoleError("involution evaluated at its pole", point=z)
-    return (involution_matrix(alpha) @ z + alpha) / den
-
-
 @dataclass(frozen=True, eq=False)
 class BallAutomorphism:
-    """A ball automorphism: unitary rotation applied after the involution."""
+    """A ball automorphism: unitary rotation applied after the involution.
+
+    Built once as its linear fractional map, associated matrix
+    [[rotation M, rotation alpha], [-alpha*, 1]] with M = involution_matrix(alpha)
+    (M = -I at alpha = 0), and evaluated by it; so LFMap's rule refuses
+    |alpha| within about 1e-15 of 1 with DegenerateMapError.  alpha and
+    rotation are read-only copies.
+    """
 
     alpha: np.ndarray
     rotation: np.ndarray
-    _anorm2: float = field(init=False, repr=False)
+    _map: LFMap = field(init=False, repr=False)
 
     def __post_init__(self):
         rot = linalg.as_square_matrix(self.rotation).copy()
-        alpha, anorm2 = _ball_point(self.alpha, rot.shape[0])
+        n = rot.shape[0]
+        alpha, anorm2 = _ball_point(self.alpha, n)
         alpha = alpha.copy()
-        if np.max(np.abs(rot.conj().T @ rot - np.eye(rot.shape[0]))) > 1e-10:
+        if np.max(np.abs(rot.conj().T @ rot - np.eye(n))) > 1e-10:
             raise ContractViolation("rotation must be unitary")
+        a = rot @ involution_matrix(alpha) if anorm2 else -rot
+        phi = LFMap(a, rot @ alpha, -alpha, 1.0)
         alpha.flags.writeable = False
         rot.flags.writeable = False
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "rotation", rot)
-        object.__setattr__(self, "_anorm2", anorm2)
+        object.__setattr__(self, "_map", phi)
 
     def __call__(self, z) -> np.ndarray:
-        z = linalg.as_vector(z)
-        if z.shape != self.alpha.shape:
-            raise ShapeError(f"z has shape {z.shape}, automorphism acts on C^{self.alpha.shape[0]}")
-        return self.rotation @ _involution(self.alpha, self._anorm2, z)
+        return evaluate(self._map, z)
+
+
+def ball_involution(alpha, z) -> np.ndarray:
+    """The involutive ball automorphism exchanging 0 and alpha (|alpha| < 1)
+    at z: BallAutomorphism(alpha, I)(z), which is -z at alpha = 0."""
+    z = linalg.as_vector(z)
+    return BallAutomorphism(alpha, np.eye(z.shape[0]))(z)
 
 
 def involution_matrix(alpha) -> np.ndarray:
@@ -125,13 +100,8 @@ def involution_matrix_inverse(alpha) -> np.ndarray:
 
 
 def automorphism_to_lfmap(aut: BallAutomorphism) -> LFMap:
-    """Express an automorphism as a linear fractional map."""
-    n = aut.alpha.shape[0]
-    if float(np.linalg.norm(aut.alpha)) == 0.0:
-        return LFMap(-aut.rotation, np.zeros(n), np.zeros(n), 1.0)
-    a = aut.rotation @ involution_matrix(aut.alpha)
-    b = aut.rotation @ aut.alpha
-    return LFMap(a, b, -aut.alpha, 1.0)
+    """The linear fractional map an automorphism holds and evaluates."""
+    return aut._map
 
 
 @dataclass(frozen=True, eq=False)

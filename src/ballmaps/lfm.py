@@ -172,27 +172,43 @@ def evaluate_batch(phi: LFMap, points) -> np.ndarray:
 
     A non-finite point raises ContractViolation.  A point z whose
     denominator is within POLE_TOL (|d| + |c| |z|) of 0 raises PoleError,
-    which names the first such row as its sample.
+    which names the first such row as its sample.  A denominator or value
+    past the largest double raises ContractViolation, with no numpy warning;
+    the denominator is tested first.
     """
     pts = linalg.as_matrix(points)
     if pts.shape[1] != phi.dim:
         raise ShapeError(f"points have shape {pts.shape}, map acts on C^{phi.dim}")
-    den = pts @ np.conj(phi.c) + phi.d
-    floors = POLE_TOL * (abs(phi.d) + _norm(phi.c) * np.linalg.norm(pts, axis=1))
+    # Overflow comes out inf or nan, and the tests below refuse it.
+    with np.errstate(all="ignore"):
+        norms = np.linalg.norm(pts, axis=1)
+        if np.isinf(norms).any():
+            # |z|^2 passed the largest double; hypot does not square.
+            norms = np.hypot.reduce(np.abs(pts), axis=1)
+        floors = POLE_TOL * (abs(phi.d) + _norm(phi.c) * norms)
+        den = pts @ np.conj(phi.c) + phi.d
+        out = (pts @ phi.a.T + phi.b) / den[:, None]
+    if not np.isfinite(den).all():
+        raise ContractViolation("denominator past the largest double; scale the coefficients down")
     bad = np.abs(den) <= floors
     if np.any(bad):
         idx = int(np.argmax(bad))
         raise PoleError(
             f"denominator {abs(den[idx]):.3e} at sample {idx}", point=pts[idx]
         )
-    return (pts @ phi.a.T + phi.b) / den[:, None]
+    if not np.isfinite(out).all():
+        raise ContractViolation("map value past the largest double; scale the coefficients down")
+    return out
 
 
 def compose(phi: LFMap, psi: LFMap) -> LFMap:
-    """The map z -> phi(psi(z)); associated matrices multiply."""
+    """The map z -> phi(psi(z)); associated matrices multiply.  A product that
+    overflows raises ContractViolation at the gate, with no numpy warning."""
     if phi.dim != psi.dim:
         raise ShapeError(f"cannot compose maps of dimensions {phi.dim} and {psi.dim}")
-    return from_associated_matrix(phi._m @ psi._m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = phi._m @ psi._m
+    return from_associated_matrix(m)
 
 
 def invert(phi: LFMap) -> LFMap:

@@ -9,11 +9,10 @@ are the Hermitian members of that family: their S commutes with the
 complex structure.  Such quadrics also have a homogeneous description
 Z* Q Z with Z = (z, 1) and Q Hermitian of size N+1, and substituting a
 linear fractional map with associated matrix m and clearing the squared
-denominator is exactly the congruence Q -> m* Q m.  Reflections are
-permutation matrices, so their pullback is an index swap, with no
-arithmetic beyond the change of description.  Affine pullbacks are done
-as real substitutions, which also covers quadrics that are not of
-Hermitian type.
+denominator is exactly the congruence Q -> m* Q m.  Every factor map
+pulls back through it (pullback_map); for a reflection m is a permutation,
+so the congruence only moves coefficients.  An affine map, a swap with
+j < N included, also pulls back quadrics not of Hermitian type.
 
 Quadrics are projective: an overall real scale does not change the zero
 set, and comparisons should go through normalized().
@@ -33,8 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
-from .bruhat import FactorMap
+from . import bruhat, linalg
 from .errors import ContractViolation, ShapeError
 from .lfm import LFMap
 
@@ -226,20 +224,15 @@ def pullback_affine(q: Quadric, phi: LFMap) -> Quadric:
 
 
 def pullback_swap(q: Quadric, i: int, j: int) -> Quadric:
-    """Pullback through the transposition of homogeneous coordinates i, j.
-
-    For j = N this is the inversion-type reflection sending z_i to
-    1/z_i-style quotients; the result satisfies
-    q'(z) = q(f(z)) * |denominator|^2, the squared-denominator clearing
-    of the substituted equation.  Exact coefficient shuffling.
+    """Pullback through the transposition of homogeneous coordinates i, j:
+    pullback_map of that reflection, whose permutation matrix only moves
+    coefficients, exactly.  For j = N it is the inversion-type reflection
+    sending z_i to 1/z_i-style quotients, and q'(z) = q(f(z)) |denominator|^2.
     """
     n = q.dim
     if not (0 <= i < j <= n):
         raise ContractViolation(f"transposition ({i}, {j}) out of range for N={n}")
-    big = to_hermitian(q)
-    order = np.arange(n + 1)
-    order[i], order[j] = order[j], order[i]
-    return _from_hermitian(big[np.ix_(order, order)])
+    return pullback_map(q, bruhat._reflection(n + 1, i, j).map)
 
 
 def pullback_reflection(q: Quadric) -> Quadric:
@@ -251,11 +244,9 @@ def pullback_reflection(q: Quadric) -> Quadric:
     return pullback_swap(q, q.dim - 1, q.dim)
 
 
-def pullback_factor(q: Quadric, factor: FactorMap) -> Quadric:
-    """Pullback through one decomposition factor."""
-    if factor.kind == "reflection":
-        return pullback_swap(q, factor.swap[0], factor.swap[1])
-    return pullback_affine(q, factor.map)
+def pullback_factor(q: Quadric, factor: bruhat.FactorMap) -> Quadric:
+    """Pullback through one decomposition factor: pullback_map of its map."""
+    return pullback_map(q, factor.map)
 
 
 def pullback_chain(q: Quadric, factors) -> Quadric:

@@ -465,7 +465,7 @@ INPUT_CHECKS = {
     "a_with_wrong_row_count": (
         {**WORKED, "A": WORKED["A"][:1]},
         ["check", "{path}"],
-        "{path}: A must be an 2x2 array of [re, im] pairs",
+        "{path}: A must be a list of 2 rows of 2 [re, im] pairs",
     ),
     "quadric_refused": (
         {"S": [[1, 0]], "b": [0, 0], "c": -1},

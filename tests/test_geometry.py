@@ -9,6 +9,7 @@ import pytest
 from ballmaps import (
     BallAutomorphism,
     ContractViolation,
+    DegenerateMapError,
     EllipsoidImage,
     LFMap,
     PoleError,
@@ -22,7 +23,6 @@ from ballmaps import (
     involution_matrix,
     involution_matrix_inverse,
     oracle_is_selfmap,
-    project_alpha,
     row_criterion,
 )
 from ballmaps.criterion import random_pole_free_map, random_unitary
@@ -43,29 +43,6 @@ def random_alpha(rng, n, lo=0.05, hi=0.9):
     g = rng.standard_normal(2 * n)
     a = g[::2] + 1j * g[1::2]
     return a * (rng.uniform(lo, hi) / np.linalg.norm(a))
-
-
-def test_project_alpha_frozen():
-    p, q = project_alpha([1.0, 0.0], [0.3 + 0.1j, 0.7j])
-    np.testing.assert_allclose(p, [0.3 + 0.1j, 0.0], atol=1e-15)
-    np.testing.assert_allclose(q, [0.0, 0.7j], atol=1e-15)
-
-
-def test_project_alpha_zero_and_orthogonality():
-    z = np.array([0.2, -0.4j])
-    p, q = project_alpha([0.0, 0.0], z)
-    np.testing.assert_array_equal(p, 0.0)
-    np.testing.assert_array_equal(q, z)
-    rng = np.random.default_rng(31)
-    for _ in range(20):
-        n = int(rng.integers(1, 5))
-        alpha = random_alpha(rng, n)
-        z = random_ball_point(rng, n)
-        p, q = project_alpha(alpha, z)
-        np.testing.assert_allclose(p + q, z, atol=1e-14)
-        assert abs(np.vdot(alpha, q)) < 1e-12
-    with pytest.raises(ShapeError):
-        project_alpha([1.0], [1.0, 0.0])
 
 
 def test_ball_involution_swaps_zero_and_alpha():
@@ -127,20 +104,36 @@ def test_automorphism_validation():
         BallAutomorphism(ALPHA, np.eye(3))
 
 
-def test_automorphism_is_its_rotation_after_ball_involution_bit_for_bit():
-    # The automorphism keeps its checked alpha and |alpha|^2 and calls the
-    # involution kernel directly; the result is the public function's, bits
-    # included, for alpha = 0 too.
+def test_automorphism_evaluates_its_lfmap_bit_for_bit():
+    # One path: the automorphism, ball_involution and automorphism_to_lfmap
+    # give the same bits, for alpha = 0 too, and they agree with the
+    # paper's formula rotation @ (M z + alpha) / (1 - <z, alpha>).
     rng = np.random.default_rng(34)
     for n in (1, 2, 3, 5):
         for alpha in (random_alpha(rng, n), np.zeros(n)):
             aut = BallAutomorphism(alpha, random_unitary(n, rng))
+            phi = automorphism_to_lfmap(aut)
+            involution = BallAutomorphism(alpha, np.eye(n))
             for _ in range(5):
                 z = random_ball_point(rng, n)
-                expected = aut.rotation @ ball_involution(alpha, z)
-                assert aut(z).tobytes() == expected.tobytes()
-            with pytest.raises(ShapeError):
+                assert aut(z).tobytes() == phi(z).tobytes()
+                assert ball_involution(alpha, z).tobytes() == involution(z).tobytes()
+                if np.any(alpha):
+                    m = involution_matrix(alpha)
+                    expected = aut.rotation @ (m @ z + alpha) / (1.0 - np.vdot(alpha, z))
+                else:
+                    expected = -(aut.rotation @ z)
+                assert np.linalg.norm(aut(z) - expected) <= 1e-14 * np.linalg.norm(expected)
+            with pytest.raises(ShapeError, match="points have shape"):
                 aut(np.zeros(n + 1))
+
+
+def test_automorphism_near_the_sphere_follows_lfmap_acceptance():
+    # The condition number (1 + |alpha|) / (1 - |alpha|) of the associated
+    # matrix passes LFMap's limit 1 / ((N + 1) eps) about 1e-15 from the sphere.
+    BallAutomorphism([1.0 - 1e-14, 0.0], np.eye(2))
+    with pytest.raises(DegenerateMapError):
+        BallAutomorphism([1.0 - 1e-15, 0.0], np.eye(2))
 
 
 def test_automorphism_and_ellipsoid_own_their_arrays():

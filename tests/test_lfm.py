@@ -184,6 +184,17 @@ def test_evaluate_at_any_scale(worked_map):
         np.testing.assert_allclose(evaluate_batch(phi, [z])[0], unit, rtol=1e-14, atol=0, err_msg=f"k = {k}")
 
 
+def test_evaluate_where_the_squared_norm_overflows():
+    # |z|^2 passes the largest double at z = 1e308 and 1e200; the pole floor takes
+    # |z| by hypot then, so the value comes out and a pole there is found.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = evaluate(LFMap([[1.0]], [0.0], [0.5], 1.0), [1e308])
+        with pytest.raises(PoleError):
+            evaluate(LFMap([[1.0]], [0.0], [1e-200], -1.0), [1e200])
+    np.testing.assert_allclose(got, [2.0], rtol=1e-15, atol=0)
+
+
 @pytest.mark.parametrize(
     "build",
     [

@@ -48,6 +48,12 @@ def subnormal_map():
     return LFMap([[1e-313]], [5e-314], [2.5e-314], 1e-313)
 
 
+def huge_map():
+    """A well-conditioned map with entries of 1e160, whose associated
+    matrix squared overflows."""
+    return LFMap(1e160 * np.eye(1), [0.0], [0.0], 1e160)
+
+
 MALFORMED = [
     ("lfmap_n0", lambda: LFMap(EMPTY, [], [], 1.0), ShapeError),
     ("identity_n0", lambda: LFMap.identity(0), ShapeError),
@@ -92,6 +98,11 @@ MALFORMED = [
         lambda: from_associated_matrix([[1.7e308, 1.7e308], [0.0, 1.0]]),
         ContractViolation,
     ),
+    # Products past the largest double: the associated matrices' product,
+    # the numerator a z + b and the denominator <z, c> + d.
+    ("compose_overflowing_product", lambda: lfm.compose(huge_map(), huge_map()), ContractViolation),
+    ("evaluate_overflowing_value", lambda: lfm.evaluate(LFMap([[1e300]], [0.0], [0.0], 1e300), [1e10]), ContractViolation),
+    ("evaluate_overflowing_denominator", lambda: lfm.evaluate(LFMap([[1.0]], [0.0], [2.0], 1.0), [1e308]), ContractViolation),
     ("associated_matrix_1x1", lambda: from_associated_matrix([[1.0]]), ShapeError),
     ("map_points_of_other_dim", lambda: lfm.evaluate_batch(LFMap.identity(2), POINTS_3), ShapeError),
     ("ellipsoid_center_vs_shape", lambda: EllipsoidImage(np.zeros(3), np.eye(2)), ShapeError),

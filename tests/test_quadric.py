@@ -20,7 +20,14 @@ from ballmaps import (
     pullback_reflection,
     pullback_swap,
 )
-from ballmaps.quadric import evaluate, evaluate_batch, normalized, residual, to_hermitian
+from ballmaps.quadric import (
+    evaluate,
+    evaluate_batch,
+    from_hermitian,
+    normalized,
+    residual,
+    to_hermitian,
+)
 
 from conftest import gen_map, load_gen
 
@@ -31,8 +38,6 @@ def unit_sphere(n):
 
 def random_hermitian_quadric(rng, n):
     g = rng.standard_normal((n + 1, n + 1)) + 1j * rng.standard_normal((n + 1, n + 1))
-    from ballmaps.quadric import from_hermitian
-
     return from_hermitian(g + g.conj().T)
 
 
@@ -125,6 +130,35 @@ def test_reflection_fixed_quadric_through_origin():
 def test_pullback_swap_range_check():
     with pytest.raises(ContractViolation):
         pullback_swap(unit_sphere(2), 1, 3)
+
+
+def test_pullback_swap_is_an_index_permutation_bit_for_bit():
+    # The congruence by a permutation matrix only moves coefficients: the
+    # result is to_hermitian(q) with rows and columns i and j exchanged.
+    rng = np.random.default_rng(67)
+    for _ in range(200):
+        n = int(rng.integers(1, 9))
+        q = random_hermitian_quadric(rng, n)
+        i, j = sorted(int(k) for k in rng.choice(n + 1, 2, replace=False))
+        order = np.arange(n + 1)
+        order[[i, j]] = order[[j, i]]
+        want = from_hermitian(to_hermitian(q)[np.ix_(order, order)])
+        got = pullback_swap(q, i, j)
+        assert got.s.tobytes() == want.s.tobytes()
+        assert got.b.tobytes() == want.b.tobytes()
+        assert np.float64(got.c).tobytes() == np.float64(want.c).tobytes()
+
+
+def test_non_hermitian_quadric_pulls_back_through_an_affine_swap():
+    # Re(z1^2) + |z2|^2 = 1 has a z_i z_j term; swapping z1 and z2 (j < N)
+    # is affine, so its pullback is a real substitution.
+    q = Quadric(np.diag([1.0, -1.0, 1.0, 1.0]), np.zeros(4), -1.0)
+    got = pullback_swap(q, 0, 1)
+    np.testing.assert_array_equal(got.s, np.diag([1.0, 1.0, 1.0, -1.0]))
+    np.testing.assert_array_equal(got.b, np.zeros(4))
+    assert got.c == -1.0
+    pts = random_points(np.random.default_rng(68), 2, 50)
+    np.testing.assert_allclose(evaluate_batch(got, pts), evaluate_batch(q, pts[:, ::-1]), atol=1e-12)
 
 
 def test_affine_translation_frozen():
