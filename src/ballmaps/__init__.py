@@ -34,7 +34,6 @@ from .errors import (
     DegenerateMapError,
     PoleError,
     ShapeError,
-    SingularMatrixError,
 )
 from .geometry import (
     BallAutomorphism,
@@ -60,7 +59,6 @@ from .quadric import (
     from_standard_form,
     pullback_affine,
     pullback_chain,
-    pullback_factor,
     pullback_map,
     pullback_reflection,
     pullback_swap,
@@ -80,7 +78,6 @@ __all__ = [
     "PoleError",
     "Quadric",
     "ShapeError",
-    "SingularMatrixError",
     "agreement_table",
     "automorphism_to_lfmap",
     "ball_involution",
@@ -107,7 +104,6 @@ __all__ = [
     "permutation_to_transpositions",
     "pullback_affine",
     "pullback_chain",
-    "pullback_factor",
     "pullback_map",
     "pullback_reflection",
     "pullback_swap",

@@ -19,13 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__, bruhat, criterion, geometry, lfm, quadric
-from .errors import (
-    ContractViolation,
-    DegenerateMapError,
-    PoleError,
-    ShapeError,
-    SingularMatrixError,
-)
+from .errors import ContractViolation, DegenerateMapError, PoleError, ShapeError
 
 
 def _fmt_float(v: float) -> str:
@@ -276,12 +270,8 @@ def main(argv=None) -> int:
     except PoleError as exc:
         sys.stderr.write(serialize({"error": "pole_on_ball", "detail": str(exc)}) + "\n")
         return 3
-    except (DegenerateMapError, SingularMatrixError) as exc:
+    except DegenerateMapError as exc:
         sys.stderr.write(serialize({"error": "degenerate_map", "detail": str(exc)}) + "\n")
         return 3
     sys.stdout.write(text + "\n")
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -13,18 +13,6 @@ class ContractViolation(BallmapsError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class SingularMatrixError(BallmapsError, ArithmeticError):
-    """An LU factorization hit a zero pivot: the matrix is singular.
-
-    The magnitude of the offending pivot, 0 for LAPACK, is stored on
-    ``pivot``.
-    """
-
-    def __init__(self, message, pivot=0.0):
-        super().__init__(message)
-        self.pivot = float(pivot)
-
-
 class DegenerateMapError(BallmapsError, ValueError):
     """The associated matrix of a map is singular."""
 

@@ -149,7 +149,8 @@ class EllipsoidImage:
         return self.center.shape[0]
 
     def polar_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """linalg.polar_decompose(shape), read off the SVD held here."""
+        """The left polar factors (p, u) of shape = p @ u, read off the SVD
+        held here by linalg.polar_from_svd."""
         return linalg.polar_from_svd(self._w, self._sigma, self._v)
 
 

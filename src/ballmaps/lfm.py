@@ -29,17 +29,12 @@ product along the way raises nothing.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ContractViolation,
-    DegenerateMapError,
-    PoleError,
-    ShapeError,
-    SingularMatrixError,
-)
+from .errors import ContractViolation, DegenerateMapError, PoleError, ShapeError
 from . import linalg
 
 POLE_TOL = 1e-14
@@ -150,10 +145,23 @@ def from_associated_matrix(m) -> LFMap:
         raise ShapeError("associated matrix must be at least 2 x 2")
     scale = float(np.abs(m).max())
     d = m[n, n]
-    m = m / d if abs(d) > NORMALIZE_TOL * scale else m.copy()
+    m = _divide(m, d) if abs(d) > NORMALIZE_TOL * scale else m.copy()
     phi = object.__new__(LFMap)
     phi._own(m)
     return phi
+
+
+def _divide(x: np.ndarray, d: complex) -> np.ndarray:
+    """x / d in a fresh array.  numpy's complex division forms 1 / d, which
+    overflows for a subnormal |d| though x / d may be O(1); there x and d
+    are first scaled, exactly, by the power of two that puts |d| in [1/2, 1)."""
+    if abs(d) < sys.float_info.min:
+        k = -math.frexp(abs(d))[1]
+        scaled = np.empty_like(x)
+        scaled.real = np.ldexp(x.real, k)
+        scaled.imag = np.ldexp(x.imag, k)
+        x, d = scaled, complex(math.ldexp(d.real, k), math.ldexp(d.imag, k))
+    return x / d
 
 
 def _norm(v: np.ndarray) -> float:
@@ -213,11 +221,7 @@ def compose(phi: LFMap, psi: LFMap) -> LFMap:
 
 def invert(phi: LFMap) -> LFMap:
     """The inverse map, from the inverse associated matrix."""
-    try:
-        m = linalg.inverse(phi._m)
-    except SingularMatrixError as exc:
-        raise DegenerateMapError("map is not invertible") from exc
-    return from_associated_matrix(m)
+    return from_associated_matrix(linalg.inverse(phi._m))
 
 
 def classical_disk_criterion(phi: LFMap) -> tuple[bool, float]:

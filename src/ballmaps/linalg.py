@@ -8,14 +8,15 @@ finite numbers.  as_real is the same gate for the real arrays of a
 quadric: it coerces to float64 and also refuses complex entries, whose
 imaginary parts numpy would drop.  Arrays built from checked ones are
 not checked again, so inverse and svd take checked square matrices (a
-dozen rows or so) and delegate to LAPACK.
+dozen rows or so) and delegate to LAPACK; polar_from_svd forms the polar
+factors from an SVD the caller already holds.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractViolation, ShapeError, SingularMatrixError
+from .errors import ContractViolation, DegenerateMapError, ShapeError
 
 
 def _checked(entries, ndim: int, kind: str, real: bool = False) -> np.ndarray:
@@ -60,14 +61,14 @@ def inverse(a) -> np.ndarray:
     """Invert a checked square matrix by LAPACK's LU factorization (numpy's inv).
 
     LAPACK reports a matrix singular only when a pivot of its LU factor is
-    exactly zero; that raises SingularMatrixError with pivot 0.  A matrix
-    singular only to rounding is inverted, so callers that need a
-    conditioning test make it first, as LFMap does.
+    exactly zero; that raises DegenerateMapError.  A matrix singular only
+    to rounding is inverted, so callers that need a conditioning test make
+    it first, as LFMap does.
     """
     try:
         return np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"LU factorization failed: {exc}", pivot=0.0) from exc
+        raise DegenerateMapError("map is not invertible") from exc
 
 
 def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -79,19 +80,13 @@ def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return w, s, vh.conj().T
 
 
-def polar_decompose(a) -> tuple[np.ndarray, np.ndarray]:
-    """Left polar decomposition a = p @ u.
-
-    p is Hermitian positive semidefinite and u is unitary; for
-    rank-deficient inputs u is completed unitarily from the singular
-    vectors.
-    """
-    return polar_from_svd(*svd(as_square_matrix(a)))
-
-
 def polar_from_svd(w, s, v) -> tuple[np.ndarray, np.ndarray]:
-    """polar_decompose's (p, u) from an SVD a = w @ diag(s) @ v.conj().T
-    that the caller already holds."""
+    """Left polar decomposition a = p @ u from an SVD a = w @ diag(s) @
+    v.conj().T that the caller already holds.
+
+    p is Hermitian positive semidefinite and u is unitary; for a
+    rank-deficient a, u is completed unitarily from the singular vectors.
+    """
     p = (w * s) @ w.conj().T
     p = (p + p.conj().T) / 2.0
     return p, w @ v.conj().T

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import bruhat, linalg
 from .errors import ContractViolation, ShapeError
-from .lfm import LFMap
+from .lfm import LFMap, _divide
 
 HERMITIAN_STRUCTURE_TOL = 1e-10
 
@@ -213,10 +213,10 @@ def pullback_affine(q: Quadric, phi: LFMap) -> Quadric:
         raise ContractViolation("affine pullback needs a map with c = 0")
     if phi.dim != q.dim:
         raise ShapeError(f"map dimension {phi.dim} vs quadric dimension {q.dim}")
-    t_mat = _real_matrix(phi.a / phi.d)
-    t_vec = _real_parts(phi.b / phi.d)
     # As in pullback_map: overflow comes out not finite, and _own refuses it.
     with np.errstate(over="ignore", invalid="ignore"):
+        t_mat = _real_matrix(_divide(phi.a, phi.d))
+        t_vec = _real_parts(_divide(phi.b, phi.d))
         s2 = t_mat.T @ q.s @ t_mat
         b2 = t_mat.T @ (2.0 * (q.s @ t_vec) + q.b)
         c2 = float(t_vec @ q.s @ t_vec + q.b @ t_vec + q.c)
@@ -244,11 +244,6 @@ def pullback_reflection(q: Quadric) -> Quadric:
     return pullback_swap(q, q.dim - 1, q.dim)
 
 
-def pullback_factor(q: Quadric, factor: bruhat.FactorMap) -> Quadric:
-    """Pullback through one decomposition factor: pullback_map of its map."""
-    return pullback_map(q, factor.map)
-
-
 def pullback_chain(q: Quadric, factors) -> Quadric:
     """Pullback through a composition factors[0] after factors[1] after ...
 
@@ -257,7 +252,7 @@ def pullback_chain(q: Quadric, factors) -> Quadric:
     """
     out = q
     for factor in factors:
-        out = pullback_factor(out, factor)
+        out = pullback_map(out, factor.map)
     return out
 
 

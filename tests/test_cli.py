@@ -17,7 +17,6 @@ from ballmaps import (
     criterion,
     geometry,
     invert,
-    linalg,
     quadric,
 )
 from ballmaps.cli import dump_mapfile, load_mapfile, main, serialize
@@ -144,7 +143,7 @@ def _expected_documents(phi):
     layout: key order, nested lists and meta."""
     report = criterion.check(phi)
     ell = geometry.image_ellipsoid(phi)
-    psd, unitary = linalg.polar_decompose(ell.shape)
+    psd, unitary = ell.polar_factors()
     factors = bruhat.factors_to_maps(bruhat.bruhat_factorize(phi.associated_matrix()))
     recomposed = bruhat.compose_factor_maps(factors).associated_matrix()
     original = phi.associated_matrix()

@@ -30,6 +30,8 @@ from ballmaps.criterion import (
     CLASS_INTERIOR,
     CLASS_NOT_SELFMAP,
     _least_form,
+    _narrow,
+    _PencilPoint,
     classify_fixed_point,
     random_pole_free_map,
     random_selfmap_shaped,
@@ -853,6 +855,22 @@ def test_shaped_ensemble_hits_target_sup():
         phi = random_selfmap_shaped(n, rng, target)
         sup = ellipsoid_sup_norm(image_ellipsoid(phi))
         assert abs(sup - target) < 1e-9 * max(1.0, target)
+
+
+def test_narrow_keeps_the_side_the_slope_points_to():
+    lo, hi = _PencilPoint(1.0, 0.0, 2.0, np.nan), _PencilPoint(3.0, 0.0, -2.0, np.nan)
+    rising, falling, flat = (_PencilPoint(2.0, 0.5, g, -1.0) for g in (1.0, -1.0, 0.0))
+    assert _narrow(lo, hi, rising) == (rising, hi)
+    assert _narrow(lo, hi, falling) == (lo, falling)
+    # a zero slope makes the point the maximiser of the concave f
+    assert _narrow(lo, hi, flat) == (flat, flat)
+
+
+def test_agreement_table_redraws_a_target_next_to_one():
+    # Seed 8461 first draws a target of 1.0000382 for row 0, too close to
+    # the threshold for either verdict to be meaningful, so it is redrawn.
+    row = agreement_table(1, 8461)["rows"][0]
+    assert abs(row["oracle_sup"] - 1.0) >= 1e-4
 
 
 def test_agreement_table_deterministic_and_sound():

@@ -291,6 +291,23 @@ def test_compose_is_matrix_product():
             np.testing.assert_allclose(h(z), expected, atol=1e-9)
 
 
+def test_compose_divides_by_a_subnormal_corner():
+    # The square of this matrix has a corner of about 3e-322; numpy's
+    # complex division forms its reciprocal and overflows, though the
+    # quotient is O(1).  Scaling by a power of two is exact.
+    m = np.array([
+        [5.8e-247 - 1.1e-246j, -1.2e-154 - 1.3e-154j],
+        [-2.7e-168 + 4.1e-168j, 3.5e-251 - 1.1e-251j],
+    ])
+    phi = from_associated_matrix(m)
+    p = phi.associated_matrix() @ phi.associated_matrix()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        square = compose(phi, phi)
+    expected = (p * 2.0**1000) / (p[1, 1] * 2.0**1000)
+    assert square.associated_matrix().tobytes() == expected.tobytes()
+
+
 def test_compose_dimension_mismatch(worked_map):
     with pytest.raises(ShapeError):
         compose(worked_map, LFMap.identity(3))

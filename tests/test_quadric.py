@@ -271,6 +271,20 @@ def test_affine_pullback_tests_c_exactly_at_any_scale(scale):
             pullback_map(not_hermitian, phi)
 
 
+def test_affine_pullback_divides_by_a_subnormal_d():
+    # a / d = 1/2 exactly, though numpy's complex division by the subnormal
+    # d overflows forming 1/d; the answer is the pullback through z / 2.
+    phi = LFMap([[2.0**-1040]], [0.0], [0.0], 2.0**-1039)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pulled = pullback_affine(unit_sphere(1), phi)
+    expected = pullback_affine(unit_sphere(1), LFMap([[0.5]], [0.0], [0.0], 1.0))
+    np.testing.assert_array_equal(pulled.s, np.diag([0.25, 0.25]))
+    assert pulled.s.tobytes() == expected.s.tobytes()
+    assert pulled.b.tobytes() == expected.b.tobytes() == np.zeros(2).tobytes()
+    assert pulled.c == expected.c == -1.0
+
+
 def test_non_hermitian_quadric_paths():
     # Re(z1^2) = x^2 - y^2 has a z_i z_j term: no Hermitian description
     q = Quadric(np.diag([1.0, -1.0]), np.zeros(2), -1.0)
