@@ -18,11 +18,16 @@ isotropic one (Cowen and MacCluer 2000; Bisi and Bracci 2002).
 
 Each route factors the one small matrix as few times as it can.  m / max|m|,
 that scale, J, its sign vector and H = m* J m are formed in one place,
-_pencil, which krein_check and classify_fixed_point both call.
+_pencil: once per check(), which hands them to krein_check and
+classify_fixed_point, and once per call of either on its own.  What follows
+each LAPACK call on these (N+1)-sized matrices runs on Python floats; |x|^2
+and sums keep numpy's own np.abs and reduction order, which fix their last
+bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -35,6 +40,7 @@ from .errors import ContractViolation
 from .geometry import (
     BallAutomorphism,
     EllipsoidImage,
+    _sum,
     automorphism_to_lfmap,
     ellipsoid_sup_norm,
     image_ellipsoid,
@@ -108,6 +114,15 @@ def krein_metric(n: int) -> np.ndarray:
     return j
 
 
+@functools.lru_cache(maxsize=16)
+def _metric(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """krein_metric(n) and its sign vector, read-only: they depend on n
+    alone, so each is built once per n and then shared."""
+    j = krein_metric(n)
+    j.flags.writeable = False
+    return j, j.diagonal().real
+
+
 def row_criterion(phi: LFMap) -> tuple[np.ndarray, float, np.ndarray]:
     """Per-row ellipsoid test.
 
@@ -162,16 +177,16 @@ def _ellipsoid_rows(phi: LFMap, ell: EllipsoidImage):
 
 def _pencil(phi: LFMap):
     """(m / max|m|, max|m|, J = krein_metric(N), J's sign vector, H = m* J m
-    symmetrised); a subnormal max|m| raises ContractViolation."""
-    scale = float(np.max(np.abs(phi._m)))
+    symmetrised); J and its sign vector are _metric's shared read-only
+    arrays.  A subnormal max|m| raises ContractViolation."""
+    scale = float(np.abs(phi._m).max())
     if scale < sys.float_info.min:
         raise ContractViolation(
             "Krein pencil: m is divided by max|m|, which is below the smallest "
             "normal double; multiply the coefficients by a common factor"
         )
     m = phi._m / scale
-    j = krein_metric(phi.dim)
-    jd = j.diagonal().real
+    j, jd = _metric(phi.dim)
     h = (m.conj().T * jd) @ m
     return m, scale, j, jd, (h + h.conj().T) / 2.0
 
@@ -197,10 +212,13 @@ def _pencil_point(j: np.ndarray, h: np.ndarray, s: float) -> _PencilPoint:
     """
     lam, vec = np.linalg.eigh(j - s * h)
     w = vec.conj().T @ (h @ vec[:, 0])
-    curvature = -np.inf
-    if lam[1] > lam[0]:
-        curvature = -2.0 * float(np.sum(np.abs(w[1:]) ** 2 / (lam[1:] - lam[0])))
-    return _PencilPoint(s, float(lam[0]), -float(w[0].real), curvature)
+    lam = lam.tolist()
+    low = lam[0]
+    curvature = -math.inf
+    if lam[1] > low:
+        w2 = (np.abs(w) ** 2).tolist()
+        curvature = -2.0 * _sum([x / (y - low) for x, y in zip(w2[1:], lam[1:])])
+    return _PencilPoint(s, low, -float(w[0].real), curvature)
 
 
 def _narrow(lo: _PencilPoint, hi: _PencilPoint | None, x: _PencilPoint):
@@ -239,20 +257,21 @@ def _contact_point(j: np.ndarray, h: np.ndarray, c: list, last: int) -> float | 
             continue
         s = sum(run) / len(run)
         lam, vec = np.linalg.eigh(j - s * h)
-        if abs(lam[0]) > KREIN_PSD_TOL:
+        if abs(lam[0].item()) > KREIN_PSD_TOL:
             continue
         kernel = vec[:, lam <= KREIN_PSD_TOL]
-        slopes = np.linalg.eigvalsh(-(kernel.conj().T @ h @ kernel))
+        slopes = np.linalg.eigvalsh(-(kernel.conj().T @ h @ kernel)).tolist()
         if s * slopes[0] <= KREIN_PSD_TOL and s * slopes[-1] >= -KREIN_PSD_TOL:
             return s
     return None
 
 
-def krein_check(phi: LFMap) -> float | None:
+def krein_check(phi: LFMap, *, _pen=None) -> float | None:
     """The t > 0 maximising lambda_min(J - t^2 m* J m), or None if infeasible.
 
     With m normalised by max|m| and s = t^2 max|m|^2 the matrix is J - s H,
-    H = m* J m (_pencil), so nothing here depends on the coefficients' scale.
+    H = m* J m (_pencil, or check()'s own passed as _pen), so nothing here
+    depends on the coefficients' scale.
     f(s) = lambda_min(J - s H) is concave with f(0) = -1.  One eig of J H
     gives the zeros s = 1/mu of det(J - s H), mu > 0 real, and the J-form
     x* J x of each unit eigenvector x: the eigenvalue of J - s H crossing
@@ -278,7 +297,7 @@ def krein_check(phi: LFMap) -> float | None:
     Rounding of H can lose s2 near the sphere; then s doubles from s1
     until f turns.  Feasible means max f >= -KREIN_PSD_TOL.
     """
-    _, scale, j, jd, h = _pencil(phi)
+    _, scale, j, jd, h = _pencil(phi) if _pen is None else _pen
     mu, vec = np.linalg.eig(jd[:, None] * h)
     # s = 1/mu and the slope -mu x* J x of the eigenvalue crossing 0 there
     crossings = sorted(
@@ -292,21 +311,21 @@ def krein_check(phi: LFMap) -> float | None:
     k = counts.index(0) - 1 if 0 in counts else len(crossings)
     s_contact = _contact_point(j, h, [s for s, _ in crossings], k)
     if s_contact is not None:
-        return float(np.sqrt(s_contact) / scale)
+        return math.sqrt(s_contact) / scale
     if k == len(crossings):
         return None
     # f is 0 at both ends, with the slope of the eigenvalue crossing there
-    ends = [_PencilPoint(s, 0.0, g, np.nan) for s, g in crossings[k : k + 2]]
+    ends = [_PencilPoint(s, 0.0, g, math.nan) for s, g in crossings[k : k + 2]]
     lo, hi = ends[0], ends[1] if len(ends) == 2 else None
     # With s2 lost, f can rise past s1 only by rounding: H is exact to about
     # (N + 1) eps.  Double s while the slope stands above that.
     for _ in range(_KREIN_MAX_DOUBLINGS):
-        if hi is not None or lo.slope <= (phi.dim + 1) * np.finfo(float).eps:
+        if hi is not None or lo.slope <= (phi.dim + 1) * sys.float_info.epsilon:
             break
         lo, hi = _narrow(lo, hi, _pencil_point(j, h, 2.0 * lo.s))
     if hi is None:
         hi = lo
-    widths = [np.inf, np.inf, hi.s - lo.s]
+    widths = [math.inf, math.inf, hi.s - lo.s]
     step = hi.s - lo.s
     best = None
     while hi.s - lo.s > _KREIN_ARGMAX_RTOL * hi.s:
@@ -315,8 +334,8 @@ def krein_check(phi: LFMap) -> float | None:
         # A multiple bottom eigenvalue (-inf) or an interval end (nan) has no
         # curvature: f may turn there, so no Newton step, and above all no
         # converged stop.
-        smooth = -np.inf < base.curvature < 0.0
-        s_new = base.s - base.slope / base.curvature if smooth else np.nan
+        smooth = -math.inf < base.curvature < 0.0
+        s_new = base.s - base.slope / base.curvature if smooth else math.nan
         newton = abs(s_new - base.s)
         if lo.s <= s_new <= hi.s and newton <= 0.5 * step:
             if newton <= 0.25 * _KREIN_ARGMAX_RTOL * s_new or (
@@ -341,7 +360,7 @@ def krein_check(phi: LFMap) -> float | None:
         best = lo if lo.value >= hi.value else hi
     if best.value < -KREIN_PSD_TOL:
         return None
-    return float(np.sqrt(best.s) / scale)
+    return math.sqrt(best.s) / scale
 
 
 def oracle_is_selfmap(phi: LFMap) -> tuple[float, bool]:
@@ -432,19 +451,21 @@ def _nonpositive_eigenvector(m: np.ndarray, jd: np.ndarray):
     point near the sphere and its repelling mirror image); their mean
     leaves m - lam I nonsingular, and each is taken on its own."""
     w, vec = np.linalg.eig(m)
-    form = jd @ np.abs(vec) ** 2
+    form = (jd @ np.abs(vec) ** 2).tolist()
+    values, moduli = w.tolist(), np.abs(w).tolist()
     best = None
-    for i in np.lexsort((-np.abs(w), form > _FORM_TOL)):
-        near = np.abs(w - w[i]) <= _CLUSTER_RTOL * np.abs(w[i])
-        if np.count_nonzero(near) == 1:
-            least, x, lam = float(form[i]), vec[:, i], complex(w[i])
+    for i in sorted(range(len(values)), key=lambda k: (form[k] > _FORM_TOL, -moduli[k])):
+        near = [k for k, v in enumerate(values) if abs(v - values[i]) <= _CLUSTER_RTOL * moduli[i]]
+        if len(near) == 1:
+            least, x, lam = form[i], vec[:, i], values[i]
         else:
-            group = near & (np.abs(vec.conj().T @ vec[:, i]) >= 1.0 - _PARALLEL_TOL)
-            eye = np.eye(len(w))
-            lam = complex(np.mean(w[group]))
+            cosines = np.abs(vec.conj().T @ vec[:, i]).tolist()
+            group = [k for k in near if cosines[k] >= 1.0 - _PARALLEL_TOL]
+            eye = np.eye(len(values))
+            lam = complex(w[group].sum() / len(group))
             _, sing, vh = np.linalg.svd(m - lam * eye)
-            if np.count_nonzero(group) > 1 and sing[-1] > _MEAN_RTOL * sing[0]:
-                lam = complex(w[i])
+            if len(group) > 1 and sing[-1] > _MEAN_RTOL * sing[0]:
+                lam = values[i]
                 _, sing, vh = np.linalg.svd(m - lam * eye)
             least, x = _least_form(vh[sing <= max(_NULL_RTOL * sing[0], sing[-1])].conj().T)
         if best is None or least < best[0]:
@@ -454,7 +475,9 @@ def _nonpositive_eigenvector(m: np.ndarray, jd: np.ndarray):
     return best
 
 
-def classify_fixed_point(phi: LFMap, oracle_sup: float) -> tuple[str, np.ndarray | None]:
+def classify_fixed_point(
+    phi: LFMap, oracle_sup: float, *, _pen=None
+) -> tuple[str, np.ndarray | None]:
     """Classify a verified self-map and locate the relevant fixed point.
 
     The fixed point (p, 1) is the eigenvector of the associated matrix m
@@ -468,18 +491,18 @@ def classify_fixed_point(phi: LFMap, oracle_sup: float) -> tuple[str, np.ndarray
     H = m* J m, is positive semidefinite (parabolic maps other than
     automorphisms), the point is read off its kernel, which stays well
     apart from the rest of the spectrum even where an eigenvalue of m lies
-    close to lam.
+    close to lam.  m, J and H come from _pencil, or from check() as _pen.
     """
     if oracle_sup > 1.0 + ORACLE_TOL:
         return CLASS_NOT_SELFMAP, None
-    m, _, j, jd, h = _pencil(phi)
+    m, _, j, jd, h = _pencil(phi) if _pen is None else _pen
     least, x, lam = _nonpositive_eigenvector(m, jd)
     if oracle_sup < 1.0 - ORACLE_TOL or least < -_ISOTROPIC_TOL:
         return CLASS_INTERIOR, x[:-1] / x[-1]
     vals, vecs = np.linalg.eigh(j - h / abs(lam) ** 2)
-    floor = _NULL_RTOL * max(1.0, float(vals[-1]))
+    floor = _NULL_RTOL * max(1.0, vals[-1].item())
     kernel = vals <= floor
-    if vals[0] >= -floor and not np.all(kernel):
+    if vals[0].item() >= -floor and not kernel.all():
         # Two isotropic vectors here (a nearly parabolic hyperbolic map)
         # would give a negative least form; keep the eigenvector then.
         least, y = _least_form(vecs[:, kernel])
@@ -492,21 +515,23 @@ def check(phi: LFMap) -> CriterionReport:
     """Run every self-map test on one pole-free map and bundle the results."""
     ell = image_ellipsoid(phi)  # shared by the row test and the oracle
     row_lhs, rhs, row_ok = _ellipsoid_rows(phi, ell)
-    criterion_selfmap = bool(np.all(row_ok))
+    row_verdict = tuple(row_ok.tolist())
+    criterion_selfmap = all(row_verdict)
     oracle_sup, oracle_ok = _oracle(ell)
-    krein_t = krein_check(phi)
-    classification, point = classify_fixed_point(phi, oracle_sup)
+    pencil = _pencil(phi)  # shared by the Krein test and the classifier
+    krein_t = krein_check(phi, _pen=pencil)
+    classification, point = classify_fixed_point(phi, oracle_sup, _pen=pencil)
     return CriterionReport(
-        row_lhs=tuple(float(x) for x in row_lhs),
-        rhs=float(rhs),
-        row_verdict=tuple(bool(v) for v in row_ok),
+        row_lhs=tuple(row_lhs.tolist()),
+        rhs=rhs,
+        row_verdict=row_verdict,
         criterion_selfmap=criterion_selfmap,
-        oracle_sup=float(oracle_sup),
-        oracle_selfmap=bool(oracle_ok),
+        oracle_sup=oracle_sup,
+        oracle_selfmap=oracle_ok,
         krein_t=krein_t,
         classification=classification,
-        fixed_point=None if point is None else tuple(complex(x) for x in point),
-        discrepancy_flag=bool(criterion_selfmap != oracle_ok),
+        fixed_point=None if point is None else tuple(point.tolist()),
+        discrepancy_flag=criterion_selfmap != oracle_ok,
     )
 
 

@@ -157,11 +157,16 @@ def _divide(x: np.ndarray, d: complex) -> np.ndarray:
     are first scaled, exactly, by the power of two that puts |d| in [1/2, 1)."""
     if abs(d) < sys.float_info.min:
         k = -math.frexp(abs(d))[1]
-        scaled = np.empty_like(x)
-        scaled.real = np.ldexp(x.real, k)
-        scaled.imag = np.ldexp(x.imag, k)
-        x, d = scaled, complex(math.ldexp(d.real, k), math.ldexp(d.imag, k))
+        x, d = _ldexp(x, k), complex(math.ldexp(d.real, k), math.ldexp(d.imag, k))
     return x / d
+
+
+def _ldexp(x: np.ndarray, k: int) -> np.ndarray:
+    """x times 2^k in a fresh complex array, exact within the range of doubles."""
+    out = np.empty_like(x)
+    out.real = np.ldexp(x.real, k)
+    out.imag = np.ldexp(x.imag, k)
+    return out
 
 
 def _norm(v: np.ndarray) -> float:
@@ -182,7 +187,8 @@ def evaluate_batch(phi: LFMap, points) -> np.ndarray:
     denominator is within POLE_TOL (|d| + |c| |z|) of 0 raises PoleError,
     which names the first such row as its sample.  A denominator or value
     past the largest double raises ContractViolation, with no numpy warning;
-    the denominator is tested first.
+    the denominator is tested first.  A subnormal denominator (a map with
+    tiny coefficients) divides as a normal one does.
     """
     pts = linalg.as_matrix(points)
     if pts.shape[1] != phi.dim:
@@ -196,6 +202,15 @@ def evaluate_batch(phi: LFMap, points) -> np.ndarray:
         floors = POLE_TOL * (abs(phi.d) + _norm(phi.c) * norms)
         den = pts @ np.conj(phi.c) + phi.d
         out = (pts @ phi.a.T + phi.b) / den[:, None]
+        tiny = np.abs(den) < sys.float_info.min
+        if tiny.any():
+            # A subnormal denominator has lost bits, and numpy's division by
+            # it overflows (see _divide): those rows alone are formed again
+            # from m scaled, exactly, by the power of two that brings max|m|
+            # into [1/2, 1).
+            m = _ldexp(phi._m, -math.frexp(np.abs(phi._m).max())[1])
+            n, rows = phi.dim, pts[tiny]
+            out[tiny] = (rows @ m[:n, :n].T + m[:n, n]) / (rows @ m[n, :n] + m[n, n])[:, None]
     if not np.isfinite(den).all():
         raise ContractViolation("denominator past the largest double; scale the coefficients down")
     bad = np.abs(den) <= floors
@@ -234,15 +249,26 @@ def classical_disk_criterion(phi: LFMap) -> tuple[bool, float]:
 
     Our stored c is conjugated relative to the literal coefficient, so
     the test below substitutes accordingly.  Returns (verdict, margin)
-    with margin = rhs - lhs; the verdict is the plain sign of the margin.
+    with margin = rhs - lhs.  Both sides are formed from the coefficients
+    divided by the power of two 2^e that brings the largest modulus into
+    [1/2, 1), which is exact, so the verdict is lhs <= rhs at every scale.
+    The margin is stated at the coefficients' own scale, 2^(2e) times the
+    unit one: it may underflow, and past the largest double it raises
+    ContractViolation.
     """
     if phi.dim != 1:
         raise ContractViolation(f"disk criterion needs N = 1, got N = {phi.dim}")
-    a = complex(phi.a[0, 0])
-    b = complex(phi.b[0])
-    c = complex(phi.c[0])
-    d = complex(phi.d)
+    coefficients = (phi.a[0, 0], phi.b[0], phi.c[0], phi.d)
+    e = math.frexp(max(abs(z) for z in coefficients))[1]
+    a, b, c, d = (complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in coefficients)
     lhs = abs(b * np.conj(d) - a * c) + abs(a * d - b * np.conj(c))
     rhs = abs(d) ** 2 - abs(c) ** 2
-    margin = rhs - lhs
-    return bool(lhs <= rhs), float(margin)
+    try:
+        margin = math.ldexp(rhs - lhs, 2 * e)
+    except OverflowError:
+        raise ContractViolation(
+            "disk criterion: its margin is stated at the coefficients' scale, "
+            "where it passes the largest double; divide the coefficients by a "
+            "common factor"
+        ) from None
+    return bool(lhs <= rhs), margin

@@ -554,6 +554,22 @@ def test_subnormal_scale_exits_2(capsys, tmp_path):
         assert "below the smallest normal double" in msg["detail"], command
 
 
+def test_sample_at_a_subnormal_scale_exits_0(capsys, tmp_path):
+    # z -> z/2 with coefficients 2^-1040 and 2^-1039: numpy's division by the
+    # subnormal denominator overflowed, and sample exited 2.  It now reads the
+    # unit map's sup.
+    sups = []
+    for name, scale in (("unit", 1.0), ("subnormal", 2.0**-1039)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(
+            json.dumps({"N": 1, "A": [[[0.5 * scale, 0]]], "B": [[0, 0]], "C": [[0, 0]], "D": [scale, 0]})
+        )
+        code, out, err = run_cli(capsys, ["sample", str(path), "--n", "1000", "--seed", "7"])
+        assert (code, err) == (0, ""), name
+        sups.append(json.loads(out)["monte_carlo_sup"])
+    assert sups[0] == sups[1]
+
+
 def test_readme_check_excerpt_is_printed_byte_for_byte(capsys, worked_file):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     excerpt = readme.split("`ballmaps check worked.json` reports", 1)[1].split("\n\n")[1]

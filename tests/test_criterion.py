@@ -8,6 +8,7 @@ import pytest
 
 from ballmaps import (
     BallAutomorphism,
+    criterion,
     ContractViolation,
     DegenerateMapError,
     LFMap,
@@ -845,6 +846,38 @@ def test_check_report_worked(worked_map):
     assert report.krein_t is not None
     assert report.row_verdict == (True, True)
     assert abs(report.rhs - 64.0) < 1e-9
+
+
+def test_check_forms_one_pencil_and_agrees_with_each_route(monkeypatch, worked_map):
+    # check() hands one pencil to the Krein test and the classifier; each
+    # called on its own forms its own, and the answers agree bit for bit.
+    gen = load_gen()
+    maps = [gen_map(e) for seed in range(1, 6) for e in gen.check_mixed(seed)]
+    maps += [worked_map] + [near_sphere_contraction(10.0**-k)[0] for k in range(1, 7)]
+    rng = np.random.default_rng(404)
+    maps.append(siegel_conjugate(siegel_boundary_map("hyperbolic", 3, rng), rng)[0])
+    pencil = criterion._pencil
+    made = []
+
+    def counting(phi):
+        made.append(phi)
+        return pencil(phi)
+
+    monkeypatch.setattr(criterion, "_pencil", counting)
+    selfmaps = 0
+    for phi in maps:
+        made.clear()
+        report = check(phi)
+        assert made == [phi]
+        selfmaps += report.oracle_selfmap
+        assert report.krein_t == krein_check(phi)
+        classification, point = classify_fixed_point(phi, report.oracle_sup)
+        assert report.classification == classification
+        if point is None:
+            assert report.fixed_point is None
+        else:
+            assert np.array(report.fixed_point).tobytes() == point.tobytes()
+    assert selfmaps > len(maps) // 2
 
 
 def test_shaped_ensemble_hits_target_sup():

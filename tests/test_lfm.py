@@ -1,5 +1,6 @@
 """Linear fractional maps and the associated-matrix calculus."""
 
+import math
 import warnings
 
 import numpy as np
@@ -246,6 +247,23 @@ def test_evaluate_batch_refuses_non_finite_points(worked_map, bad):
             evaluate_batch(worked_map, [[bad, 0.0]])
 
 
+def test_evaluate_divides_by_a_subnormal_denominator():
+    # numpy's complex division forms 1 / den, which overflows for a subnormal
+    # den: these maps were refused at every point as "map value past the
+    # largest double".  A copy of a map scaled by 2^-1050 gives the unit
+    # map's bits, since its rows are formed again at unit scale.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        half = LFMap([[2.0**-1040]], [0.0], [0.0], 2.0**-1039)  # z -> z/2
+        assert evaluate(half, [0.5]).tolist() == [0.25]
+        steep = LFMap([[1e-300]], [0.0], [0.0], 1e-310)
+        np.testing.assert_allclose(evaluate(steep, [0.5]), [0.5e-300 / 1e-310], rtol=1e-15, atol=0)
+        unit = LFMap([[1.0 + 0.5j]], [0.25], [0.5j], 1.0)
+        tiny = LFMap(unit.a * 2.0**-1050, unit.b * 2.0**-1050, unit.c * 2.0**-1050, unit.d * 2.0**-1050)
+        pts = [[0.5], [0.25j], [-0.9], [0.0]]
+        assert evaluate_batch(tiny, pts).tobytes() == evaluate_batch(unit, pts).tobytes()
+
+
 def test_from_associated_matrix_normalizes_scale(worked_map):
     m = worked_map.associated_matrix()
     phi = from_associated_matrix(5.0 * m)
@@ -351,6 +369,29 @@ def test_classical_disk_criterion_frozen():
     translate = LFMap(np.eye(1), [1.0], [0.0], 1.0)
     verdict, margin = classical_disk_criterion(translate)
     assert not verdict and abs(margin + 1.0) < 1e-15
+
+
+DISK_MAPS = [(2.0, 0.0, 0.0, 1.0), (0.5, 0.0, 0.0, 1.0), (1.0, -0.5, -0.5, 1.0), (0.25 + 0.5j, 0.125, -0.25j, 1.0)]
+
+
+@pytest.mark.parametrize("k", [1, 40, 500, -1, -40, -500])
+def test_classical_disk_criterion_at_power_of_two_scales(k):
+    # the verdict is taken at unit scale, and the margin is 4^k times the
+    # unit one, bit for bit
+    for a, b, c, d in DISK_MAPS:
+        verdict, margin = classical_disk_criterion(LFMap([[a]], [b], [c], d))
+        s = 2.0**k
+        scaled = LFMap([[a * s]], [b * s], [c * s], d * s)
+        assert classical_disk_criterion(scaled) == (verdict, math.ldexp(margin, 2 * k)), (a, b, c, d)
+
+
+def test_classical_disk_criterion_far_from_unit_scale():
+    # z -> 2z at 1e-170 read (True, 0.0), both sides having underflowed, and
+    # at 1e170 a bare OverflowError came out of |d|^2
+    for a, verdict in ((2.0, False), (0.5, True)):
+        assert classical_disk_criterion(LFMap([[a * 1e-170]], [0.0], [0.0], 1e-170)) == (verdict, 0.0)
+        with pytest.raises(ContractViolation, match="passes the largest double"):
+            classical_disk_criterion(LFMap([[a * 1e170]], [0.0], [0.0], 1e170))
 
 
 def test_classical_disk_criterion_needs_dimension_one(worked_map):
