@@ -13,6 +13,7 @@ the Krein route is compared with neither.  Classification of verified
 self-maps reads the fixed point off the eigenstructure of the associated
 matrix m: a fixed point p in the closed ball is an eigenvector (p, 1) of
 m with J-form |p|^2 - 1 <= 0, for the eigenvalue of largest modulus.
+J has one negative square, so each eigen-route has one candidate.
 The Denjoy-Wolff point of a map with no interior fixed point is the
 isotropic one (Cowen and MacCluer 2000; Bisi and Bracci 2002).
 
@@ -31,7 +32,6 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -152,14 +152,13 @@ def _ellipsoid_rows(phi: LFMap, ell: EllipsoidImage):
     c2 = float(np.vdot(center, center).real)
     lhs = c2 + (shape.real**2 + shape.imag**2).sum(axis=1) - 2.0 * (shape @ center).real
     verdicts = lhs <= 1.0 + ROW_REL_TOL
-    cr, ci = phi.c.real, phi.c.imag
-    try:
-        # The square root is np.linalg.norm(phi.c) without its overhead.  It
-        # comes after |d|^2, whose OverflowError spares numpy's overflow in
-        # dot for a pole-free map.
-        scale = (abs(phi.d) ** 2 - math.sqrt(cr.dot(cr) + ci.dot(ci)) ** 2) ** 2
-    except OverflowError:
-        scale = math.inf
+    cr, ci, d = phi.c.real, phi.c.imag, abs(phi.d)
+    # The square root is np.linalg.norm(phi.c) without its overhead.  It is
+    # taken only where |d|^2 is finite, which spares numpy's overflow in dot
+    # for a pole-free map.  x * x, unlike float ** 2 (libm pow), is exactly
+    # homogeneous under powers of 2.
+    c = math.sqrt(cr.dot(cr) + ci.dot(ci)) if d * d < math.inf else 0.0
+    scale = (d * d - c * c) * (d * d - c * c)
     if not math.isfinite(scale * max(1.0, float(lhs.max()))):
         raise ContractViolation(
             "row test: its rows are stated at the coefficients' scale, where "
@@ -234,36 +233,30 @@ def _narrow(lo: _PencilPoint, hi: _PencilPoint | None, x: _PencilPoint):
     return x, x
 
 
-def _contact_point(j: np.ndarray, h: np.ndarray, c: list, last: int) -> float | None:
+def _contact_point(j: np.ndarray, h: np.ndarray, c: list) -> float | None:
     """The maximiser s of f(s) = lambda_min(J - s H) at boundary contact, or None.
 
-    There f <= 0 touches 0 at a repeated zero of det(J - s H), which
-    rounding splits into a run of the sorted candidates c.  Each run that
-    begins at index last or before costs one eigh at its mean s, accepted
-    when f(s) is 0 to KREIN_PSD_TOL and s times the slopes -V* H V on the
+    There f <= 0 touches 0 at a repeated zero of det(J - s H), the largest
+    real mu, which rounding splits into the first run of the sorted
+    candidates c.  That run costs one eigh at its mean s, accepted when
+    f(s) is 0 to KREIN_PSD_TOL and s times the slopes -V* H V on the
     kernel V take both signs: 0 is then a supergradient (Lewis and
     Overton, "Eigenvalue optimization", Acta Numerica 1996).  A repeated
     zero at an end of a feasible interval has slopes of one sign: z -> a z
     on B^N, N >= 2, at s = 1/a^2, where s times each slope is -1.
     """
-    first = 0
-    for k in range(1, len(c) + 1):
-        if k < len(c) and c[k] - c[k - 1] <= _KREIN_CLUSTER_RTOL * c[k]:
-            continue
-        if first > last:
-            break
-        run, first = c[first:k], k
-        if len(run) < 2:
-            continue
-        s = sum(run) / len(run)
-        lam, vec = np.linalg.eigh(j - s * h)
-        if abs(lam[0].item()) > KREIN_PSD_TOL:
-            continue
-        kernel = vec[:, lam <= KREIN_PSD_TOL]
-        slopes = np.linalg.eigvalsh(-(kernel.conj().T @ h @ kernel)).tolist()
-        if s * slopes[0] <= KREIN_PSD_TOL and s * slopes[-1] >= -KREIN_PSD_TOL:
-            return s
-    return None
+    k = 1
+    while k < len(c) and c[k] - c[k - 1] <= _KREIN_CLUSTER_RTOL * c[k]:
+        k += 1
+    if k < 2:
+        return None
+    s = sum(c[:k]) / k
+    lam, vec = np.linalg.eigh(j - s * h)
+    if abs(lam[0].item()) > KREIN_PSD_TOL:
+        return None
+    kernel = vec[:, lam <= KREIN_PSD_TOL]
+    slopes = np.linalg.eigvalsh(-(kernel.conj().T @ h @ kernel)).tolist()
+    return s if s * slopes[0] <= KREIN_PSD_TOL and s * slopes[-1] >= -KREIN_PSD_TOL else None
 
 
 def krein_check(phi: LFMap, *, _pen=None) -> float | None:
@@ -275,19 +268,17 @@ def krein_check(phi: LFMap, *, _pen=None) -> float | None:
     f(s) = lambda_min(J - s H) is concave with f(0) = -1.  One eig of J H
     gives the zeros s = 1/mu of det(J - s H), mu > 0 real, and the J-form
     x* J x of each unit eigenvector x: the eigenvalue of J - s H crossing
-    0 there has slope -x* H x = -mu x* J x.  These signs, the sign
-    characteristic of the pencil (Gohberg, Lancaster and Rodman,
-    "Indefinite Linear Algebra and Its Applications", 2005), count the
-    negative eigenvalues of J - s H up from 1 at s = 0+; a non-real mu has
-    a J-neutral eigenvector and crosses nothing.  The feasible interval
-    [s1, s2] opens where the count reaches 0 and closes at the next
-    candidate; if the count never reaches 0, no eigh is needed to say
-    None.  J H is selfadjoint in the form of J, which has one negative
-    square, so in exact arithmetic the map is feasible exactly when the
-    largest real mu > 0 has negative type.
+    0 there has slope -x* H x = -mu x* J x (a non-real mu has a J-neutral
+    eigenvector and crosses nothing).  J H is selfadjoint in the form of
+    J, which has one negative square, so it has at most one real
+    eigenvalue of negative type (Gohberg, Lancaster and Rodman,
+    "Indefinite Linear Algebra and Its Applications", 2005): the map is
+    feasible exactly when the first crossing s1, at the largest real mu,
+    rises (a negative form), and [s1, s2] closes at the next candidate.
+    Otherwise no eigh is needed to say None.
 
-    At boundary contact f only touches 0, at a repeated candidate with
-    rounding-sized forms, so the runs up to s1 go first (_contact_point).
+    At boundary contact f only touches 0, at a repeated largest mu with
+    rounding-sized forms, so that run goes first (_contact_point).
     Else f is 0 at both ends of [s1, s2] with known slopes, and the polish
     starts, with no eigh, where their tangents meet.  Each later point is
     a Newton step on f' from the end with the flatter slope, if its bottom
@@ -305,17 +296,13 @@ def krein_check(phi: LFMap, *, _pen=None) -> float | None:
         for z, form in zip(mu.tolist(), (jd @ np.abs(vec) ** 2).tolist())
         if z.real > 0.0 and abs(z.imag) <= _KREIN_CLUSTER_RTOL * abs(z)
     )
-    # The count of negative eigenvalues of J - s H, 1 just above s = 0: an
-    # eigenvalue rising through 0 (a negative form) leaves it.
-    counts = list(accumulate(((g < 0.0) - (g > 0.0) for _, g in crossings), initial=1))
-    k = counts.index(0) - 1 if 0 in counts else len(crossings)
-    s_contact = _contact_point(j, h, [s for s, _ in crossings], k)
+    s_contact = _contact_point(j, h, [s for s, _ in crossings])
     if s_contact is not None:
         return math.sqrt(s_contact) / scale
-    if k == len(crossings):
+    if not crossings or crossings[0][1] <= 0.0:
         return None
     # f is 0 at both ends, with the slope of the eigenvalue crossing there
-    ends = [_PencilPoint(s, 0.0, g, math.nan) for s, g in crossings[k : k + 2]]
+    ends = [_PencilPoint(s, 0.0, g, math.nan) for s, g in crossings[:2]]
     lo, hi = ends[0], ends[1] if len(ends) == 2 else None
     # With s2 lost, f can rise past s1 only by rounding: H is exact to about
     # (N + 1) eps.  Double s while the slope stands above that.
@@ -438,41 +425,38 @@ def _least_form(basis: np.ndarray) -> tuple[float, np.ndarray]:
 
 def _nonpositive_eigenvector(m: np.ndarray, jd: np.ndarray):
     """(form, x, lam): the unit x of least J-form in the eigenspace (the
-    near-null space of m - lam I) of the first eigenvalue lam to reach
-    form <= _ISOTROPIC_TOL, else of least form.  Eigenvalues with a
-    computed eigenvector of form <= _FORM_TOL go first, each group by
-    decreasing modulus (a later isotropic one is a repelling point).
+    near-null space of m - lam I) of the one candidate lam, of largest
+    modulus among the eigenvalues with a computed eigenvector of form <=
+    _FORM_TOL, else among all.  J has one negative square, so a
+    J-contraction has one nonpositive eigenvector, for its eigenvalue of
+    largest modulus (Azizov and Iokhvidov, "Linear Operators in Spaces
+    with an Indefinite Metric", 1989).
 
     An eigenvalue with no other within _CLUSTER_RTOL (relative) is simple:
     its eigenvector and form are eig's own, and no SVD is made.  A cluster
-    takes the null space of m - lam I.  A defective eigenvalue splits into
-    close computed ones with nearly parallel eigenvectors, whose mean is
-    exact to rounding.  Distinct eigenvalues can look alike (an attracting
-    point near the sphere and its repelling mirror image); their mean
-    leaves m - lam I nonsingular, and each is taken on its own."""
+    takes the null space of m - lam I, which holds the nonpositive vector
+    where the computed eigenvectors miss it.  A defective eigenvalue splits
+    into close computed ones with nearly parallel eigenvectors, whose mean
+    is exact to rounding.  Distinct eigenvalues can look alike (a point
+    near the sphere and its mirror image); their mean leaves m - lam I
+    nonsingular, and lam is taken alone."""
     w, vec = np.linalg.eig(m)
     form = (jd @ np.abs(vec) ** 2).tolist()
     values, moduli = w.tolist(), np.abs(w).tolist()
-    best = None
-    for i in sorted(range(len(values)), key=lambda k: (form[k] > _FORM_TOL, -moduli[k])):
-        near = [k for k, v in enumerate(values) if abs(v - values[i]) <= _CLUSTER_RTOL * moduli[i]]
-        if len(near) == 1:
-            least, x, lam = form[i], vec[:, i], values[i]
-        else:
-            cosines = np.abs(vec.conj().T @ vec[:, i]).tolist()
-            group = [k for k in near if cosines[k] >= 1.0 - _PARALLEL_TOL]
-            eye = np.eye(len(values))
-            lam = complex(w[group].sum() / len(group))
-            _, sing, vh = np.linalg.svd(m - lam * eye)
-            if len(group) > 1 and sing[-1] > _MEAN_RTOL * sing[0]:
-                lam = values[i]
-                _, sing, vh = np.linalg.svd(m - lam * eye)
-            least, x = _least_form(vh[sing <= max(_NULL_RTOL * sing[0], sing[-1])].conj().T)
-        if best is None or least < best[0]:
-            best = (least, x, lam)
-        if least <= _ISOTROPIC_TOL:
-            break
-    return best
+    i = min(range(len(values)), key=lambda k: (form[k] > _FORM_TOL, -moduli[k]))
+    near = [k for k, v in enumerate(values) if abs(v - values[i]) <= _CLUSTER_RTOL * moduli[i]]
+    if len(near) == 1:
+        return form[i], vec[:, i], values[i]
+    cosines = np.abs(vec.conj().T @ vec[:, i]).tolist()
+    group = [k for k in near if cosines[k] >= 1.0 - _PARALLEL_TOL]
+    eye = np.eye(len(values))
+    lam = complex(w[group].sum() / len(group))
+    _, sing, vh = np.linalg.svd(m - lam * eye)
+    if len(group) > 1 and sing[-1] > _MEAN_RTOL * sing[0]:
+        lam = values[i]
+        _, sing, vh = np.linalg.svd(m - lam * eye)
+    least, x = _least_form(vh[sing <= max(_NULL_RTOL * sing[0], sing[-1])].conj().T)
+    return least, x, lam
 
 
 def classify_fixed_point(

@@ -139,6 +139,21 @@ def test_rows_are_stated_at_the_coefficients_scale(worked_map):
         assert abs(sup - 1.0) <= 4e-16 and verdict
 
 
+def test_rows_are_homogeneous_under_powers_of_two():
+    # 2^k times the coefficients gives rows and rhs 2^(4k) times the
+    # unscaled ones, bit for bit: the squares are x * x, which a power of
+    # two passes through exactly, and float ** 2 (libm pow) does not.
+    maps = [gen_map(e) for seed in range(1, 21) for e in load_gen().check_mixed(seed)]
+    for phi in maps:
+        lhs, rhs, ok = row_criterion(phi)
+        m = phi.associated_matrix()
+        for k in (3, 10, 15, -3, -10):
+            lhs_k, rhs_k, ok_k = row_criterion(coefficient_map(m * 2.0**k))
+            assert rhs_k == math.ldexp(rhs, 4 * k), k
+            assert lhs_k.tobytes() == (lhs * 2.0 ** (4 * k)).tobytes(), k
+            assert ok_k.tolist() == ok.tolist(), k
+
+
 def test_automorphism_rows_sit_on_the_bound():
     rng = np.random.default_rng(51)
     for _ in range(15):
@@ -436,8 +451,8 @@ def test_krein_eigh_count(count_eigh, worked_map):
 @pytest.mark.parametrize("n", [1, 2, 3, 8])
 def test_krein_skips_a_repeated_candidate_past_the_interval(count_eigh, n):
     # z -> z/2 has its candidate s = 4 repeated n times, the far end of the
-    # feasible interval [1, 4] that the walk has opened at s = 1: no eigh
-    # is spent on it, so z/2 costs what a simple candidate there costs
+    # feasible interval [1, 4] that the first crossing has opened at s = 1:
+    # no eigh is spent on it, so z/2 costs what a simple candidate costs
     half = count_eigh(LFMap(np.eye(n) / 2, np.zeros(n), np.zeros(n), 1.0))
     u = random_unitary(n, np.random.default_rng([62, n]))
     small = count_eigh(LFMap(1e-3 * u, np.zeros(n), np.zeros(n), 1.0))
@@ -457,6 +472,40 @@ def test_krein_non_real_eigenvalues_are_not_crossings():
     mu = np.linalg.eigvals(krein_metric(2) @ h)
     assert np.sum((mu.real > 0.0) & (np.abs(mu.imag) > 1e-3)) == 2
     assert krein_check(phi) is None
+
+
+def siegel_translation_family():
+    """600 ball conjugates of the Siegel maps w1 -> w1 + a + i s, w' -> rho U w'
+    (self-maps exactly when rho <= 1), N = 2..5, rho at and past 1, s from 0."""
+    gen = load_gen()
+    for n in range(2, 6):
+        for ri, rho in enumerate((1.0, 1.0 + 1e-6, 1.0 + 1e-3, 1.1, 1.5)):
+            for si, shift in enumerate((0.0, 1e-6, 1e-3, 0.1, 1.0)):
+                for seed in range(6):
+                    rng = np.random.default_rng([2810, n, ri, si, seed])
+                    t = gen.translation(n, rng.uniform(-1, 1) + 1j * shift)
+                    t[1:n, 1:n] = gen.unitary(n - 1, rng) * rho
+                    a = gen.aut(n, rng)
+                    yield coefficient_map(gen.normalized(a @ gen.from_siegel(t) @ np.linalg.inv(a)))
+
+
+def test_krein_certifies_no_map_outside_the_ball():
+    # J H has one real eigenvalue of negative type at most, so only a first
+    # crossing that rises opens a feasible interval.  For n = 2, rho = 1.5,
+    # s = 0, seed 4 (sup 4.56) a crossing of positive type comes first, then
+    # a pair split by rounding whose computed forms are both negative: no
+    # certificate may come from that pair (at its s, lambda_min is -2.196).
+    pole_free = 0
+    for phi in siegel_translation_family():
+        if not phi.pole_free_on_ball:
+            continue
+        pole_free += 1
+        report = check(phi)
+        if report.krein_t is not None:
+            assert krein_min_eig(phi, report.krein_t) >= -1e-9
+        if report.oracle_sup > 1.0 + 1e-6:
+            assert report.krein_t is None, report.oracle_sup
+    assert pole_free == 594
 
 
 def krein_reference_t(phi, dps=50):
@@ -837,6 +886,33 @@ def test_nearly_parabolic_hyperbolic_map_takes_the_svd_path(monkeypatch):
         assert classification == CLASS_BOUNDARY
         bound = 100.0 * np.finfo(float).eps / eps
         np.testing.assert_allclose(point, expected, rtol=0.0, atol=bound)
+
+
+def test_kernel_step_keeps_the_eigenvector_of_a_nearly_parabolic_map():
+    # A Siegel dilation w1 -> (1 + eps) w1, w' -> sqrt(1 + eps) U w' / 2,
+    # eps = 1e-8, nearly parabolic: where J - H / |lam|^2 is positive
+    # semidefinite to rounding, its kernel holds both isotropic vectors
+    # (the attracting and the repelling point), whose least form is
+    # negative, and the eigenvector is kept.  Taking the kernel's vector
+    # instead moves the point about 1 away.  The family is run whole: the
+    # 29 maps called interior are ROADMAP item 4's open fault.
+    gen, eps = load_gen(), 1e-8
+    boundary = 0
+    for n in range(2, 6):
+        for seed in range(8):
+            rng = np.random.default_rng([404, n, seed])
+            t = np.eye(n + 1, dtype=np.complex128)
+            t[0, 0] = 1.0 + eps
+            t[1:n, 1:n] = gen.unitary(n - 1, rng) * 0.5 * np.sqrt(1.0 + eps)
+            a = gen.aut(n, rng)
+            phi = coefficient_map(gen.normalized(a @ gen.from_siegel(t) @ np.linalg.inv(a)))
+            report = check(phi)
+            if report.classification != CLASS_BOUNDARY:
+                continue
+            boundary += 1
+            expected = (a[:n, 0] + a[:n, n]) / (a[n, 0] + a[n, n])
+            np.testing.assert_allclose(report.fixed_point, expected, rtol=0.0, atol=1e-7)
+    assert boundary >= 1
 
 
 def test_check_report_worked(worked_map):

@@ -3,7 +3,7 @@ factor-pullback maps.
 
 The benchmark times check(), the row test and the oracle, and the
 composition calculus on these maps, so a change that adds decompositions
-to them (a search brought back beside the Krein walk, or a fold that
+to them (a search brought back beside the Krein test, or a fold that
 checks every partial product, say) shows up in the benchmark's
 throughput.  These tests catch it in the unit tests already: they count
 the numpy.linalg decompositions that one operation makes against
