@@ -20,7 +20,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ContractViolation, DegenerateMapError, ShapeError
-from .lfm import LFMap, from_associated_matrix
+from .lfm import LFMap, _ldexp, _unit, from_associated_matrix
 
 PIVOT_TOL = 1e-12
 
@@ -64,9 +64,11 @@ def bruhat_factorize(m) -> BruhatFactors:
     clear the pivot row to the right.  As L holds the multipliers in LU,
     u1 and u2 hold the elimination multipliers: entry (i, pivot row) of
     u1 is the multiple of the pivot row taken from row i, and entry
-    (j, k) of u2 the multiple of column j taken from column k.
+    (j, k) of u2 the multiple of column j taken from column k.  The
+    elimination runs on m / 2^e, with max|m / 2^e| in [1/2, 1), so that no
+    pivot is subnormal; the diagonal factor carries 2^e back, exactly.
     """
-    m = linalg.as_square_matrix(m)
+    m, e = _unit(linalg.as_square_matrix(m))
     n = m.shape[0]
     threshold = PIVOT_TOL * float(np.max(np.abs(m)))
     work = m.copy()
@@ -97,7 +99,7 @@ def bruhat_factorize(m) -> BruhatFactors:
                 u1[i, pivot_row] += f
         u2[j, j + 1 :] += work[pivot_row, j + 1 :] / p
         work[pivot_row, j + 1 :] = 0.0
-    return BruhatFactors(u1, tuple(perm), np.diag(work[perm, range(n)]), u2)
+    return BruhatFactors(u1, tuple(perm), np.diag(_ldexp(work[perm, range(n)], e)), u2)
 
 
 def permutation_to_transpositions(perm) -> list[tuple[int, int]]:

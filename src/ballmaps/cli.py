@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -172,11 +173,13 @@ def _cmd_decompose(args) -> dict:
     factors = bruhat.factors_to_maps(
         bruhat.bruhat_factorize(phi.associated_matrix())
     )
-    recomposed = bruhat.compose_factor_maps(factors).associated_matrix()
-    original = phi.associated_matrix()
+    # Both matrices at unit scale, where the ratio stays in range; the
+    # residual is stated at the map's own scale.
+    recomposed, _ = lfm._unit(bruhat.compose_factor_maps(factors).associated_matrix())
+    original, e = lfm._unit(phi.associated_matrix())
     k = int(np.argmax(np.abs(original)))
     ratio = recomposed.ravel()[k] / original.ravel()[k]
-    resid = float(np.max(np.abs(recomposed / ratio - original)))
+    resid = math.ldexp(float(np.max(np.abs(recomposed / ratio - original))), e)
     return {
         "factors": [
             {

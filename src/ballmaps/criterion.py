@@ -20,10 +20,13 @@ isotropic one (Cowen and MacCluer 2000; Bisi and Bracci 2002).
 Each route factors the one small matrix as few times as it can.  m / max|m|,
 that scale, J, its sign vector and H = m* J m are formed in one place,
 _pencil: once per check(), which hands them to krein_check and
-classify_fixed_point, and once per call of either on its own.  What follows
-each LAPACK call on these (N+1)-sized matrices runs on Python floats; |x|^2
-and sums keep numpy's own np.abs and reduction order, which fix their last
-bit.
+classify_fixed_point, and once per call of either on its own.  Each
+factorization (eig, eigh, eigvalsh, svd) is a call through linalg, the
+package's one door to LAPACK, which gives numpy.linalg's results bit for bit
+without its per-call dispatch, about as costly as LAPACK's own work at this
+size.  What follows each LAPACK call on these (N+1)-sized matrices runs on
+Python floats; |x|^2 and sums keep numpy's own np.abs and reduction order,
+which fix their last bit.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import linalg
 from .errors import ContractViolation
 from .geometry import (
     BallAutomorphism,
@@ -209,7 +213,7 @@ def _pencil_point(j: np.ndarray, h: np.ndarray, s: float) -> _PencilPoint:
     (lam_0 - lam_k) where the bottom eigenvalue is simple, and -inf where
     it is multiple (no second derivative there).
     """
-    lam, vec = np.linalg.eigh(j - s * h)
+    lam, vec = linalg.eigh(j - s * h)
     w = vec.conj().T @ (h @ vec[:, 0])
     lam = lam.tolist()
     low = lam[0]
@@ -251,11 +255,11 @@ def _contact_point(j: np.ndarray, h: np.ndarray, c: list) -> float | None:
     if k < 2:
         return None
     s = sum(c[:k]) / k
-    lam, vec = np.linalg.eigh(j - s * h)
+    lam, vec = linalg.eigh(j - s * h)
     if abs(lam[0].item()) > KREIN_PSD_TOL:
         return None
     kernel = vec[:, lam <= KREIN_PSD_TOL]
-    slopes = np.linalg.eigvalsh(-(kernel.conj().T @ h @ kernel)).tolist()
+    slopes = linalg.eigvalsh(-(kernel.conj().T @ h @ kernel)).tolist()
     return s if s * slopes[0] <= KREIN_PSD_TOL and s * slopes[-1] >= -KREIN_PSD_TOL else None
 
 
@@ -289,7 +293,7 @@ def krein_check(phi: LFMap, *, _pen=None) -> float | None:
     until f turns.  Feasible means max f >= -KREIN_PSD_TOL.
     """
     _, scale, j, jd, h = _pencil(phi) if _pen is None else _pen
-    mu, vec = np.linalg.eig(jd[:, None] * h)
+    mu, vec = linalg.eig(jd[:, None] * h)
     # s = 1/mu and the slope -mu x* J x of the eigenvalue crossing 0 there
     crossings = sorted(
         (1.0 / z.real, -z.real * form)
@@ -440,7 +444,7 @@ def _nonpositive_eigenvector(m: np.ndarray, jd: np.ndarray):
     is exact to rounding.  Distinct eigenvalues can look alike (a point
     near the sphere and its mirror image); their mean leaves m - lam I
     nonsingular, and lam is taken alone."""
-    w, vec = np.linalg.eig(m)
+    w, vec = linalg.eig(m)
     form = (jd @ np.abs(vec) ** 2).tolist()
     values, moduli = w.tolist(), np.abs(w).tolist()
     i = min(range(len(values)), key=lambda k: (form[k] > _FORM_TOL, -moduli[k]))
@@ -451,11 +455,11 @@ def _nonpositive_eigenvector(m: np.ndarray, jd: np.ndarray):
     group = [k for k in near if cosines[k] >= 1.0 - _PARALLEL_TOL]
     eye = np.eye(len(values))
     lam = complex(w[group].sum() / len(group))
-    _, sing, vh = np.linalg.svd(m - lam * eye)
+    _, sing, v = linalg.svd(m - lam * eye)
     if len(group) > 1 and sing[-1] > _MEAN_RTOL * sing[0]:
         lam = values[i]
-        _, sing, vh = np.linalg.svd(m - lam * eye)
-    least, x = _least_form(vh[sing <= max(_NULL_RTOL * sing[0], sing[-1])].conj().T)
+        _, sing, v = linalg.svd(m - lam * eye)
+    least, x = _least_form(v[:, sing <= max(_NULL_RTOL * sing[0], sing[-1])])
     return least, x, lam
 
 
@@ -483,7 +487,7 @@ def classify_fixed_point(
     least, x, lam = _nonpositive_eigenvector(m, jd)
     if oracle_sup < 1.0 - ORACLE_TOL or least < -_ISOTROPIC_TOL:
         return CLASS_INTERIOR, x[:-1] / x[-1]
-    vals, vecs = np.linalg.eigh(j - h / abs(lam) ** 2)
+    vals, vecs = linalg.eigh(j - h / abs(lam) ** 2)
     floor = _NULL_RTOL * max(1.0, vals[-1].item())
     kernel = vals <= floor
     if vals[0].item() >= -floor and not kernel.all():
@@ -539,7 +543,7 @@ def random_selfmap_shaped(
     alpha = (g[::2] + 1j * g[1::2])
     alpha *= 0.7 * rng.uniform(0.1, 1.0) / np.linalg.norm(alpha)
     shape = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    shape /= np.linalg.svd(shape, compute_uv=False)[0]
+    shape /= linalg.svdvals(shape)[0]
     shape *= rng.uniform(0.4, 1.0)
     center = 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
     inv_m = automorphism_to_lfmap(BallAutomorphism(alpha, np.eye(n)))._m

@@ -88,7 +88,7 @@ class LFMap:
         it.  This is the one place where the invertibility rule lives.
         """
         n = m.shape[0] - 1
-        sigma = np.linalg.svd(m, compute_uv=False)
+        sigma = linalg.svdvals(m)
         if not math.isfinite(sigma[0]):
             raise ContractViolation(
                 "associated matrix: its largest singular value is not a finite "
@@ -161,6 +161,13 @@ def _divide(x: np.ndarray, d: complex) -> np.ndarray:
     return x / d
 
 
+def _unit(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """(m / 2^e, e) for the power of two 2^e that puts max|m| in [1/2, 1);
+    the division is exact, and a multiple of m is the same map."""
+    e = math.frexp(float(np.abs(m).max()))[1]
+    return _ldexp(m, -e), e
+
+
 def _ldexp(x: np.ndarray, k: int) -> np.ndarray:
     """x times 2^k in a fresh complex array, exact within the range of doubles."""
     out = np.empty_like(x)
@@ -206,9 +213,8 @@ def evaluate_batch(phi: LFMap, points) -> np.ndarray:
         if tiny.any():
             # A subnormal denominator has lost bits, and numpy's division by
             # it overflows (see _divide): those rows alone are formed again
-            # from m scaled, exactly, by the power of two that brings max|m|
-            # into [1/2, 1).
-            m = _ldexp(phi._m, -math.frexp(np.abs(phi._m).max())[1])
+            # from m brought to unit scale.
+            m, _ = _unit(phi._m)
             n, rows = phi.dim, pts[tiny]
             out[tiny] = (rows @ m[:n, :n].T + m[:n, n]) / (rows @ m[n, :n] + m[n, n])[:, None]
     if not np.isfinite(den).all():
@@ -225,18 +231,19 @@ def evaluate_batch(phi: LFMap, points) -> np.ndarray:
 
 
 def compose(phi: LFMap, psi: LFMap) -> LFMap:
-    """The map z -> phi(psi(z)); associated matrices multiply.  A product that
-    overflows raises ContractViolation at the gate, with no numpy warning."""
+    """The map z -> phi(psi(z)); associated matrices multiply.  Each is first
+    brought to unit scale (_unit), so the product neither overflows nor
+    underflows at any scale of the coefficients."""
     if phi.dim != psi.dim:
         raise ShapeError(f"cannot compose maps of dimensions {phi.dim} and {psi.dim}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = phi._m @ psi._m
-    return from_associated_matrix(m)
+    return from_associated_matrix(_unit(phi._m)[0] @ _unit(psi._m)[0])
 
 
 def invert(phi: LFMap) -> LFMap:
-    """The inverse map, from the inverse associated matrix."""
-    return from_associated_matrix(linalg.inverse(phi._m))
+    """The inverse map, from the inverse of the associated matrix brought to
+    unit scale (_unit), which stays in range at any scale of the
+    coefficients."""
+    return from_associated_matrix(linalg.inverse(_unit(phi._m)[0]))
 
 
 def classical_disk_criterion(phi: LFMap) -> tuple[bool, float]:

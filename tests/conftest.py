@@ -1,10 +1,12 @@
+import collections
+import contextlib
 import importlib.util
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ballmaps import LFMap
+from ballmaps import LFMap, linalg
 
 GEN = Path(__file__).resolve().parents[1] / "benchmark" / "gen.py"
 
@@ -21,6 +23,50 @@ def gen_map(entry) -> LFMap:
     """The map of a benchmark/gen.py entry, from its associated matrix."""
     m, n = entry["m"], entry["n"]
     return LFMap(m[:n, :n], m[:n, n], np.conj(m[n, :n]), m[n, n])
+
+
+# ballmaps.linalg's door to LAPACK, each function by the kind of call it
+# counts as, and the numpy.linalg functions that the door stands in for.
+DOOR = {
+    "eig": "eig",
+    "eigh": "eigh",
+    "eigvalsh": "eigvalsh",
+    "svd": "svd",
+    "svdvals": "svd",
+    "inverse": "inverse",
+}
+BYPASSED = ("eig", "eigvals", "eigh", "eigvalsh", "svd", "inv")
+
+
+@contextlib.contextmanager
+def lapack_calls(record=None):
+    """Count the LAPACK calls made inside the block through ballmaps.linalg,
+    by kind (DOOR), and append (function name, a copy of its matrix) of each
+    to record.  Inside the block numpy.linalg's BYPASSED functions fail the
+    test, so a call that goes round the door is never left uncounted."""
+    calls = collections.Counter()
+
+    def counting(name, original):
+        def call(a):
+            calls[DOOR[name]] += 1
+            if record is not None:
+                record.append((name, a.copy()))
+            return original(a)
+
+        return call
+
+    def bypass(name):
+        def call(*args, **kwargs):
+            pytest.fail(f"numpy.linalg.{name} called round ballmaps.linalg")
+
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in DOOR:
+            mp.setattr(linalg, name, counting(name, getattr(linalg, name)))
+        for name in BYPASSED:
+            mp.setattr(np.linalg, name, bypass(name))
+        yield calls
 
 
 @pytest.fixture

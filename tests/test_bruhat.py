@@ -1,5 +1,7 @@
 """Triangular-permutation factorization and elementary map factors."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from ballmaps import (
     transposition_matrix,
 )
 from ballmaps.bruhat import FactorMap
+from ballmaps.lfm import _ldexp
 
 from conftest import random_ball_point, random_complex_matrix
 
@@ -42,6 +45,25 @@ def test_worked_map_factorization(worked_map):
     np.testing.assert_array_equal(fac.left_unipotent, [[1, 0, -1], [0, 1, 0], [0, 0, 1]])
     np.testing.assert_array_equal(fac.right_unipotent, [[1, 0, -3], [0, 1, 0], [0, 0, 1]])
     np.testing.assert_array_equal(fac.diag, np.diag([-1.0, 2.0, 4.0]))
+
+
+@pytest.mark.parametrize("k", [-1040, -1000, -500, 500, 1000])
+def test_factorization_at_powers_of_two_scales(worked_map, k):
+    # The elimination runs at unit scale and the diagonal factor carries
+    # 2^k back: the unipotent factors are the unscaled ones and the pivots
+    # 2^k times them, bit for bit, with no numpy warning where a subnormal
+    # pivot's reciprocal used to overflow.
+    m = worked_map.associated_matrix()
+    unit = bruhat_factorize(m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fac = bruhat_factorize(_ldexp(m, k))
+        maps = factors_to_maps(fac)
+    assert fac.perm == unit.perm
+    assert fac.left_unipotent.tobytes() == unit.left_unipotent.tobytes()
+    assert fac.right_unipotent.tobytes() == unit.right_unipotent.tobytes()
+    assert fac.diag.tobytes() == _ldexp(unit.diag, k).tobytes()
+    assert [f.kind for f in maps] == [f.kind for f in factors_to_maps(unit)]
 
 
 def test_worked_map_factor_structure(worked_map):

@@ -554,20 +554,52 @@ def test_subnormal_scale_exits_2(capsys, tmp_path):
         assert "below the smallest normal double" in msg["detail"], command
 
 
+def half_map_file(tmp_path, name, scale):
+    """A map file of z -> z/2 with its coefficients times scale."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"N": 1, "A": [[[0.5 * scale, 0]]], "B": [[0, 0]], "C": [[0, 0]], "D": [scale, 0]}))
+    return str(path)
+
+
 def test_sample_at_a_subnormal_scale_exits_0(capsys, tmp_path):
     # z -> z/2 with coefficients 2^-1040 and 2^-1039: numpy's division by the
     # subnormal denominator overflowed, and sample exited 2.  It now reads the
     # unit map's sup.
     sups = []
     for name, scale in (("unit", 1.0), ("subnormal", 2.0**-1039)):
-        path = tmp_path / f"{name}.json"
-        path.write_text(
-            json.dumps({"N": 1, "A": [[[0.5 * scale, 0]]], "B": [[0, 0]], "C": [[0, 0]], "D": [scale, 0]})
-        )
-        code, out, err = run_cli(capsys, ["sample", str(path), "--n", "1000", "--seed", "7"])
+        path = half_map_file(tmp_path, name, scale)
+        code, out, err = run_cli(capsys, ["sample", path, "--n", "1000", "--seed", "7"])
         assert (code, err) == (0, ""), name
         sups.append(json.loads(out)["monte_carlo_sup"])
     assert sups[0] == sups[1]
+
+
+def test_decompose_and_invert_at_a_subnormal_scale_exit_0(capsys, tmp_path):
+    # z -> z/2 times 2^-1040: decompose let numpy's overflow in divide out
+    # and invert's entries, about 2^1039, passed the largest double; both
+    # exited 2.  Warnings are errors here, so none gets out now.
+    path = half_map_file(tmp_path, "subnormal", 2.0**-1039)
+    code, out, err = run_cli(capsys, ["decompose", path])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["recomposition_residual"] == 0.0
+    assert doc["factors"][0]["map"]["A"] == [[[0.5, 0]]]
+    code, out, err = run_cli(capsys, ["invert", path])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"N": 1, "A": [[[2, 0]]], "B": [[0, 0]], "C": [[0, 0]], "D": [1, 0]}
+
+
+def test_compose_at_extreme_scales_prints_the_unit_bytes(capsys, tmp_path):
+    # The product of the two associated matrices underflowed at 2^-1000
+    # (exit 3, "singular to working precision") and overflowed at 2^1000
+    # (exit 2); compose now brings each to unit scale first.
+    outs = []
+    for name, scale in (("unit", 1.0), ("tiny", 2.0**-1000), ("huge", 2.0**1000)):
+        path = half_map_file(tmp_path, name, scale)
+        code, out, err = run_cli(capsys, ["compose", path, path])
+        assert (code, err) == (0, ""), name
+        outs.append(out)
+    assert outs[1] == outs[0] and outs[2] == outs[0]
 
 
 def test_readme_check_excerpt_is_printed_byte_for_byte(capsys, worked_file):

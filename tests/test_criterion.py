@@ -39,7 +39,7 @@ from ballmaps.criterion import (
     random_unitary,
 )
 
-from conftest import gen_map, load_gen, near_sphere_contraction
+from conftest import gen_map, lapack_calls, load_gen, near_sphere_contraction
 
 
 def involution_map(alpha):
@@ -415,21 +415,14 @@ def nonself_map(n, rng):
 
 
 @pytest.fixture
-def count_eigh(monkeypatch):
+def count_eigh():
     """krein_check on a map, with the number of eigh calls it made."""
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counting_eigh(a, *args, **kwargs):
-        calls.append(a.shape)
-        return eigh(a, *args, **kwargs)
 
     def run(phi):
-        calls.clear()
-        t = krein_check(phi)
-        return t, len(calls)
+        with lapack_calls() as calls:
+            t = krein_check(phi)
+        return t, calls["eigh"]
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     return run
 
 
@@ -860,7 +853,7 @@ def test_fixed_point_of_a_simple_eigenvalue_matches_the_svd_null_vector():
             np.testing.assert_allclose(p, null[:n] / null[n], rtol=0.0, atol=1e-13)
 
 
-def test_nearly_parabolic_hyperbolic_map_takes_the_svd_path(monkeypatch):
+def test_nearly_parabolic_hyperbolic_map_takes_the_svd_path():
     # A Siegel dilation w1 -> (1 + eps) w1, w' -> sqrt(1 + eps) w' / 2 has
     # the eigenvalues 1 + eps and 1 of m within _CLUSTER_RTOL of each
     # other: a cluster, whose eigenspace comes from the SVD of m - lam I.
@@ -871,18 +864,10 @@ def test_nearly_parabolic_hyperbolic_map_takes_the_svd_path(monkeypatch):
     t[1:n, 1:n] *= 0.5 * np.sqrt(1.0 + eps)
     cases = [siegel_conjugate(t, rng) for _ in range(4)]
     sups = [oracle_is_selfmap(phi)[0] for phi, _ in cases]
-    svd = np.linalg.svd
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
     for (phi, expected), sup in zip(cases, sups):
-        calls.clear()
-        classification, point = classify_fixed_point(phi, sup)
-        assert calls
+        with lapack_calls() as calls:
+            classification, point = classify_fixed_point(phi, sup)
+        assert calls["svd"]
         assert classification == CLASS_BOUNDARY
         bound = 100.0 * np.finfo(float).eps / eps
         np.testing.assert_allclose(point, expected, rtol=0.0, atol=bound)

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from ballmaps import (
 )
 
 from conftest import near_sphere_contraction, random_ball_point, random_complex_matrix
+
+EPS = np.finfo(float).eps
 
 
 def test_worked_map_values(worked_map):
@@ -309,21 +312,64 @@ def test_compose_is_matrix_product():
             np.testing.assert_allclose(h(z), expected, atol=1e-9)
 
 
+def exact_normalized_product(m1, m2):
+    """m1 @ m2 divided by its corner entry, in exact rational arithmetic on
+    the doubles given, rounded once to complex128."""
+    def q(z):
+        return Fraction(z.real), Fraction(z.imag)
+
+    def times(x, y):
+        return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+    n = m1.shape[0]
+    p = [
+        [
+            tuple(map(sum, zip(*(times(q(m1[i, k]), q(m2[k, j])) for k in range(n)))))
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    dr, di = p[-1][-1]
+    den = dr * dr + di * di
+    return np.array(
+        [[complex((x * dr + y * di) / den, (y * dr - x * di) / den) for x, y in row] for row in p]
+    )
+
+
 def test_compose_divides_by_a_subnormal_corner():
-    # The square of this matrix has a corner of about 3e-322; numpy's
-    # complex division forms its reciprocal and overflows, though the
-    # quotient is O(1).  Scaling by a power of two is exact.
+    # The product of this matrix with itself has a corner of about 3e-322,
+    # subnormal: formed as it stands, it kept about ten bits, and the
+    # quotient by it got the small entry (0, 1) of the square wrong by 100 %.
+    # compose brings each factor to unit scale first, exactly, so the corner
+    # is a normal double and every entry is right to rounding.
     m = np.array([
         [5.8e-247 - 1.1e-246j, -1.2e-154 - 1.3e-154j],
         [-2.7e-168 + 4.1e-168j, 3.5e-251 - 1.1e-251j],
     ])
     phi = from_associated_matrix(m)
-    p = phi.associated_matrix() @ phi.associated_matrix()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        square = compose(phi, phi)
-    expected = (p * 2.0**1000) / (p[1, 1] * 2.0**1000)
-    assert square.associated_matrix().tobytes() == expected.tobytes()
+        square = compose(phi, phi).associated_matrix()
+    expected = exact_normalized_product(phi._m, phi._m)
+    np.testing.assert_allclose(square, expected, rtol=4 * EPS, atol=4 * EPS)
+    assert abs(square[0, 1] - expected[0, 1]) <= 4 * EPS * abs(expected[0, 1])
+
+
+@pytest.mark.parametrize(
+    "scale", [2.0**-1040, 2.0**-1000, 1e160, 2.0**1000], ids=["2^-1040", "2^-1000", "1e160", "2^1000"]
+)
+def test_compose_and_invert_at_extreme_scales(scale):
+    # z -> z/2 with every coefficient times scale: the product of two
+    # associated matrices underflows or overflows, and the inverse's entries
+    # pass the largest double, unless each matrix is brought to unit scale
+    # first.  Both give the unit map's bytes, with no numpy warning.
+    unit = LFMap([[0.5]], [0.0], [0.0], 1.0)
+    phi = LFMap([[0.5 * scale]], [0.0], [0.0], scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        square, inverse = compose(phi, phi), invert(phi)
+    assert square.associated_matrix().tobytes() == compose(unit, unit).associated_matrix().tobytes()
+    assert inverse.associated_matrix().tobytes() == invert(unit).associated_matrix().tobytes()
 
 
 def test_compose_dimension_mismatch(worked_map):

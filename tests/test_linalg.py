@@ -1,9 +1,26 @@
-"""Shape-checked linear algebra wrappers."""
+"""Shape-checked linear algebra wrappers, and the door to LAPACK."""
+
+import functools
+import warnings
 
 import numpy as np
 import pytest
 
-from ballmaps import ContractViolation, DegenerateMapError, ShapeError
+from ballmaps import (
+    ContractViolation,
+    DegenerateMapError,
+    ShapeError,
+    bruhat_factorize,
+    check,
+    compose,
+    compose_factor_maps,
+    factors_to_maps,
+    invert,
+    linalg,
+    oracle_is_selfmap,
+    pullback_map,
+    row_criterion,
+)
 from ballmaps.linalg import (
     as_matrix,
     as_square_matrix,
@@ -12,8 +29,26 @@ from ballmaps.linalg import (
     polar_from_svd,
     svd,
 )
+from ballmaps.quadric import Quadric
 
-from conftest import random_complex_matrix
+from conftest import DOOR, gen_map, lapack_calls, load_gen, random_complex_matrix
+
+
+def numpy_svd(a):
+    """numpy.linalg.svd, with v = vh* returned as linalg.svd returns it."""
+    w, s, vh = np.linalg.svd(a)
+    return w, s, vh.conj().T
+
+
+# Each door function against the numpy.linalg call it stands in for.
+NUMPY = {
+    "eig": np.linalg.eig,
+    "eigh": np.linalg.eigh,
+    "eigvalsh": np.linalg.eigvalsh,
+    "svd": numpy_svd,
+    "svdvals": lambda a: np.linalg.svd(a, compute_uv=False),
+    "inverse": np.linalg.inv,
+}
 
 
 def test_as_vector_coerces_and_validates():
@@ -122,3 +157,72 @@ def test_polar_decompose_properties():
         p_ref, u_ref = _reference_polar(a)
         np.testing.assert_allclose(p, p_ref, atol=1e-9)
         np.testing.assert_allclose(u, u_ref, atol=1e-9)
+
+
+@functools.cache
+def factored_matrices():
+    """(door function, matrix) of every LAPACK call that check(), the row
+    test and the oracle, and the calculus (factor, fold, invert, compose,
+    pull back) make on the benchmark's check-mixed, oracle-sweep and
+    factor-pullback maps, seeds 1-3."""
+    gen = load_gen()
+    seeds = (1, 2, 3)
+    checked = [gen_map(e) for seed in seeds for e in gen.check_mixed(seed)]
+    swept = [gen_map(e) for seed in seeds for e in gen.oracle_sweep(seed)]
+    calculus = [
+        (gen_map(e), Quadric(*gen.real_form(e["quadric"])))
+        for seed in seeds
+        for e in gen.factor_pullback(seed)
+    ]
+    record = []
+    with lapack_calls(record):
+        for phi in checked:
+            check(phi)
+        for phi in swept:
+            row_criterion(phi)
+            oracle_is_selfmap(phi)
+        for phi, q in calculus:
+            compose_factor_maps(factors_to_maps(bruhat_factorize(phi.associated_matrix())))
+            compose(phi, invert(phi))
+            pullback_map(q, phi)
+    return record
+
+
+def same_bits(x, y) -> bool:
+    if isinstance(x, tuple):
+        return len(x) == len(y) and all(map(same_bits, x, y))
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(DOOR))
+def test_door_is_numpy_linalg_bit_for_bit(name):
+    # The door calls numpy.linalg's own gufuncs with numpy.linalg's
+    # signatures: a numpy release that changes either fails here.
+    matrices = [a for called, a in factored_matrices() if called == name]
+    assert matrices, name
+    door = getattr(linalg, name)
+    for a in matrices:
+        assert same_bits(door(a), NUMPY[name](a)), (name, a)
+
+
+@pytest.mark.parametrize("name", ["eig", "eigh", "eigvalsh", "svd", "svdvals"])
+def test_door_raises_linalgerror_on_nan_with_no_warning(name):
+    # A NaN is outside the door's precondition; LAPACK's failure flag still
+    # raises numpy's LinAlgError, and no numpy warning gets out.
+    a = random_complex_matrix(np.random.default_rng(16), 4)
+    a[1, 1] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError):
+            getattr(linalg, name)(a)
+
+
+def test_inverse_of_a_nan_matrix_is_numpys():
+    # No LU pivot is exactly zero, so LAPACK reports nothing: NaNs, as from
+    # numpy.linalg.inv, with no warning.
+    a = random_complex_matrix(np.random.default_rng(17), 4)
+    a[1, 1] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert same_bits(inverse(a), np.linalg.inv(a))
+    assert np.isnan(inverse(a)).all()
