@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 
 import numpy as np
@@ -65,7 +64,10 @@ def _pair(value, what: str) -> complex:
         or not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in value)
     ):
         raise ContractViolation(f"{what} must be an [re, im] pair, got {value!r}")
-    return complex(value[0], value[1])
+    try:
+        return complex(value[0], value[1])
+    except OverflowError as exc:  # an integer past the largest double
+        raise ContractViolation(f"{what} entries must be doubles: {exc}") from None
 
 
 def _pair_vector(value, n: int, what: str) -> np.ndarray:
@@ -174,12 +176,13 @@ def _cmd_decompose(args) -> dict:
         bruhat.bruhat_factorize(phi.associated_matrix())
     )
     # Both matrices at unit scale, where the ratio stays in range; the
-    # residual is stated at the map's own scale.
+    # residual is stated at the map's own scale (lfm's scale rule).
     recomposed, _ = lfm._unit(bruhat.compose_factor_maps(factors).associated_matrix())
     original, e = lfm._unit(phi.associated_matrix())
     k = int(np.argmax(np.abs(original)))
     ratio = recomposed.ravel()[k] / original.ravel()[k]
-    resid = math.ldexp(float(np.max(np.abs(recomposed / ratio - original))), e)
+    resid = float(np.max(np.abs(recomposed / ratio - original)))
+    resid = lfm._stated(resid, e, 1, "decompose: its residual")
     return {
         "factors": [
             {

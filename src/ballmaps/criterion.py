@@ -49,7 +49,7 @@ from .geometry import (
     ellipsoid_sup_norm,
     image_ellipsoid,
 )
-from .lfm import LFMap, evaluate_batch, from_associated_matrix
+from .lfm import LFMap, _divide, _ldexp, _stated, evaluate_batch, from_associated_matrix
 
 ROW_REL_TOL = 1e-10
 ORACLE_TOL = 1e-9
@@ -147,51 +147,46 @@ def _ellipsoid_rows(phi: LFMap, ell: EllipsoidImage):
     shares with the oracle.  For an affine map (c = 0) the ellipsoid has
     center b/d and shape a/d, and rhs = |d|^4.
 
-    Both sides are stated at the coefficients' own scale, so coefficients
-    too large for that (about 1e77 and up) raise ContractViolation, and so
-    do coefficients so small (about 1e-78 and below) that the scale is not
-    a normal double.
+    Both sides are stated at the coefficients' scale by lfm's scale rule:
+    rhs is formed from c and d divided by the 2^e that puts |d| in
+    [1/2, 1), and the rows are lhs times rhs.
     """
     center, shape = ell.center, ell.shape
     c2 = float(np.vdot(center, center).real)
     lhs = c2 + (shape.real**2 + shape.imag**2).sum(axis=1) - 2.0 * (shape @ center).real
     verdicts = lhs <= 1.0 + ROW_REL_TOL
-    cr, ci, d = phi.c.real, phi.c.imag, abs(phi.d)
-    # The square root is np.linalg.norm(phi.c) without its overhead.  It is
-    # taken only where |d|^2 is finite, which spares numpy's overflow in dot
-    # for a pole-free map.  x * x, unlike float ** 2 (libm pow), is exactly
+    d, e = math.frexp(abs(phi.d))  # |d| = d 2^e, d in [1/2, 1)
+    # c is scaled as a complex array, whose strided views numpy's dot reads
+    # as it read the unscaled ones.  The square root is np.linalg.norm
+    # without its overhead; x * x, unlike float ** 2 (libm pow), is exactly
     # homogeneous under powers of 2.
-    c = math.sqrt(cr.dot(cr) + ci.dot(ci)) if d * d < math.inf else 0.0
+    cu = _ldexp(phi.c, -e)
+    cr, ci = cu.real, cu.imag
+    c = math.sqrt(cr.dot(cr) + ci.dot(ci))
     scale = (d * d - c * c) * (d * d - c * c)
-    if not math.isfinite(scale * max(1.0, float(lhs.max()))):
-        raise ContractViolation(
-            "row test: its rows are stated at the coefficients' scale, where "
-            "(|d|^2 - |c|^2)^2 times them overflows; divide the coefficients "
-            "by a common factor"
-        )
-    if scale < sys.float_info.min:
-        raise ContractViolation(
-            "row test: its rows are stated at the coefficients' scale, where "
-            "(|d|^2 - |c|^2)^2 is below the smallest normal double; multiply "
-            "the coefficients by a common factor"
-        )
-    return lhs * scale, float(scale), verdicts
+    # The rows pass the largest double where their largest, or rhs, does.
+    _stated(scale * max(1.0, float(lhs.max())), e, 4, "row test: the largest row")
+    rhs = math.ldexp(scale, 4 * e)
+    return lhs * rhs, rhs, verdicts
 
 
 def _pencil(phi: LFMap):
     """(m / max|m|, max|m|, J = krein_metric(N), J's sign vector, H = m* J m
     symmetrised); J and its sign vector are _metric's shared read-only
-    arrays.  A subnormal max|m| raises ContractViolation."""
+    arrays.  m is divided by lfm's _divide, so a subnormal max|m| divides
+    as a normal one does."""
     scale = float(np.abs(phi._m).max())
-    if scale < sys.float_info.min:
-        raise ContractViolation(
-            "Krein pencil: m is divided by max|m|, which is below the smallest "
-            "normal double; multiply the coefficients by a common factor"
-        )
-    m = phi._m / scale
+    m = _divide(phi._m, scale)
     j, jd = _metric(phi.dim)
     h = (m.conj().T * jd) @ m
     return m, scale, j, jd, (h + h.conj().T) / 2.0
+
+
+def _krein_t(s: float, scale: float) -> float:
+    """t = sqrt(s) / max|m| for the pencil's argmax s: sqrt(s) / f, the t
+    at unit scale, stated for max|m| = f 2^e, f in [1/2, 1)."""
+    f, e = math.frexp(scale)
+    return _stated(math.sqrt(s) / f, e, -1, "Krein test: its t")
 
 
 class _PencilPoint(NamedTuple):
@@ -302,7 +297,7 @@ def krein_check(phi: LFMap, *, _pen=None) -> float | None:
     )
     s_contact = _contact_point(j, h, [s for s, _ in crossings])
     if s_contact is not None:
-        return math.sqrt(s_contact) / scale
+        return _krein_t(s_contact, scale)
     if not crossings or crossings[0][1] <= 0.0:
         return None
     # f is 0 at both ends, with the slope of the eigenvalue crossing there
@@ -351,7 +346,7 @@ def krein_check(phi: LFMap, *, _pen=None) -> float | None:
         best = lo if lo.value >= hi.value else hi
     if best.value < -KREIN_PSD_TOL:
         return None
-    return math.sqrt(best.s) / scale
+    return _krein_t(best.s, scale)
 
 
 def oracle_is_selfmap(phi: LFMap) -> tuple[float, bool]:
@@ -521,13 +516,6 @@ def check(phi: LFMap) -> CriterionReport:
         fixed_point=None if point is None else tuple(point.tolist()),
         discrepancy_flag=criterion_selfmap != oracle_ok,
     )
-
-
-def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(g)
-    phases = np.diag(r)
-    return q * (phases / np.abs(phases))
 
 
 def random_selfmap_shaped(

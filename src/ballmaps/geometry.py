@@ -8,14 +8,13 @@ a point set {center + shape @ v : |v| <= 1}.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg
 from .errors import ContractViolation, DegenerateMapError, PoleError, ShapeError
-from .lfm import LFMap, evaluate
+from .lfm import LFMap, _divide, evaluate
 
 
 def _ball_point(alpha, n: int | None = None) -> tuple[np.ndarray, float]:
@@ -167,23 +166,19 @@ def image_ellipsoid(phi: LFMap) -> EllipsoidImage:
 
     where s = sqrt(1 - |c'|^2) and (1 - s) / |c'|^2 = 1 / (1 + s); a' c' is
     formed once for both.  A map with c = 0 is affine and the image is
-    {b' + a' v}.  A pole within rounding of the sphere, where 1 - |c'|^2
-    rounds to 0 or below, raises PoleError like a pole on the ball, and a
-    |d| below the smallest normal double ContractViolation (1/d overflows).
-    Else a checked map gives finite arrays, built without linalg's gate.
+    {b' + a' v}.  The divisions by d go through lfm's _divide, so the
+    ellipsoid is the same at any scale of the coefficients.  A pole within
+    rounding of the sphere, where 1 - |c'|^2 rounds to 0 or below, raises
+    PoleError like a pole on the ball.  Else a checked map gives finite
+    arrays, built without linalg's gate.
     The degeneracy test reads the ellipsoid's own SVD.
     """
     if not phi.pole_free_on_ball:
         raise PoleError("map has poles on the closed unit ball")
     d = phi.d
-    if abs(d) < sys.float_info.min:
-        raise ContractViolation(
-            "image ellipsoid: it divides by d, where |d| is below the smallest "
-            "normal double; multiply the coefficients by a common factor"
-        )
-    a = phi.a / d
-    b = phi.b / d
-    c = phi.c / d.conjugate()
+    a = _divide(phi.a, d)
+    b = _divide(phi.b, d)
+    c = _divide(phi.c, d.conjugate())
     cnorm2 = float(np.vdot(c, c).real)
     if cnorm2 == 0.0:
         center, shape = b, a

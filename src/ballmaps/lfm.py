@@ -24,6 +24,19 @@ value that is not a finite double.  compose, invert and the Bruhat fold
 build their result by from_associated_matrix, so a product of several
 matrices is checked once, as a whole, and an ill-conditioned partial
 product along the way raises nothing.
+
+Scale.  A multiple of a map is the same map, so every route works on it
+at unit scale and none refuses a map for its scale.  _unit divides the
+associated matrix by the power of two 2^e that puts max|m| in [1/2, 1);
+_divide divides by a scalar (d, or max|m|), scaling both sides first by
+the power of two that puts a subnormal divisor in [1/2, 1).  Both are
+exact.  Only outputs stated at the coefficients' scale can refuse: the
+row test's rhs (degree 4 in the coefficients, e taken from |d|) and its
+rows (lhs times rhs), krein_t (degree -1), the disc margin (degree 2) and
+ballmaps decompose's residual (degree 1).  _stated scales each back from
+unit scale, exactly: it may underflow, and past the largest double it
+raises ContractViolation.  Every other output (verdicts, the sup, the
+image ellipsoid, fixed points, values) is scale-free.
 """
 
 from __future__ import annotations
@@ -168,12 +181,24 @@ def _unit(m: np.ndarray) -> tuple[np.ndarray, int]:
     return _ldexp(m, -e), e
 
 
+def _stated(x: float, e: int, degree: int, what: str) -> float:
+    """x, an output of the given degree in the coefficients formed at unit
+    scale (the coefficients divided by 2^e), at the coefficients' own scale:
+    x times 2^(degree e), exactly.  It may underflow; past the largest double
+    it raises ContractViolation, naming what."""
+    try:
+        return math.ldexp(x, degree * e)
+    except OverflowError:
+        raise ContractViolation(
+            f"{what} is stated at the coefficients' scale, where it passes the largest "
+            f"double; {'divide' if e > 0 else 'multiply'} the coefficients by a common factor"
+        ) from None
+
+
 def _ldexp(x: np.ndarray, k: int) -> np.ndarray:
-    """x times 2^k in a fresh complex array, exact within the range of doubles."""
-    out = np.empty_like(x)
-    out.real = np.ldexp(x.real, k)
-    out.imag = np.ldexp(x.imag, k)
-    return out
+    """x times 2^k in a fresh C-ordered complex array, exact within the range
+    of doubles: one ldexp over the real and imaginary parts side by side."""
+    return np.ldexp(np.ascontiguousarray(x).view(np.float64), k).view(np.complex128)
 
 
 def _norm(v: np.ndarray) -> float:
@@ -190,43 +215,39 @@ def evaluate(phi: LFMap, z) -> np.ndarray:
 def evaluate_batch(phi: LFMap, points) -> np.ndarray:
     """Apply the map to each row of an (m, N) array of points.
 
-    A non-finite point raises ContractViolation.  A point z whose
-    denominator is within POLE_TOL (|d| + |c| |z|) of 0 raises PoleError,
-    which names the first such row as its sample.  A denominator or value
-    past the largest double raises ContractViolation, with no numpy warning;
-    the denominator is tested first.  A subnormal denominator (a map with
-    tiny coefficients) divides as a normal one does.
+    The map is evaluated at unit scale (_unit), so its values do not depend
+    on the coefficients' scale.  A non-finite point raises
+    ContractViolation.  A point z whose denominator is within POLE_TOL
+    (|d| + |c| |z|) of 0 raises PoleError, which names the first such row
+    as its sample and its denominator at the coefficients' scale.  A
+    denominator or value past the largest double raises ContractViolation,
+    with no numpy warning; the denominator is tested first.
     """
     pts = linalg.as_matrix(points)
-    if pts.shape[1] != phi.dim:
-        raise ShapeError(f"points have shape {pts.shape}, map acts on C^{phi.dim}")
+    n = phi.dim
+    if pts.shape[1] != n:
+        raise ShapeError(f"points have shape {pts.shape}, map acts on C^{n}")
+    m, e = _unit(phi._m)
+    c, d = m[n, :n], m[n, n]
     # Overflow comes out inf or nan, and the tests below refuse it.
     with np.errstate(all="ignore"):
         norms = np.linalg.norm(pts, axis=1)
         if np.isinf(norms).any():
             # |z|^2 passed the largest double; hypot does not square.
             norms = np.hypot.reduce(np.abs(pts), axis=1)
-        floors = POLE_TOL * (abs(phi.d) + _norm(phi.c) * norms)
-        den = pts @ np.conj(phi.c) + phi.d
-        out = (pts @ phi.a.T + phi.b) / den[:, None]
-        tiny = np.abs(den) < sys.float_info.min
-        if tiny.any():
-            # A subnormal denominator has lost bits, and numpy's division by
-            # it overflows (see _divide): those rows alone are formed again
-            # from m brought to unit scale.
-            m, _ = _unit(phi._m)
-            n, rows = phi.dim, pts[tiny]
-            out[tiny] = (rows @ m[:n, :n].T + m[:n, n]) / (rows @ m[n, :n] + m[n, n])[:, None]
+        floors = POLE_TOL * (abs(d) + _norm(c) * norms)
+        den = pts @ c + d
+        out = (pts @ m[:n, :n].T + m[:n, n]) / den[:, None]
     if not np.isfinite(den).all():
-        raise ContractViolation("denominator past the largest double; scale the coefficients down")
+        raise ContractViolation("denominator past the largest double")
     bad = np.abs(den) <= floors
     if np.any(bad):
         idx = int(np.argmax(bad))
-        raise PoleError(
-            f"denominator {abs(den[idx]):.3e} at sample {idx}", point=pts[idx]
-        )
+        with np.errstate(over="ignore"):
+            stated = np.ldexp(abs(den[idx]), e)
+        raise PoleError(f"denominator {stated:.3e} at sample {idx}", point=pts[idx])
     if not np.isfinite(out).all():
-        raise ContractViolation("map value past the largest double; scale the coefficients down")
+        raise ContractViolation("map value past the largest double")
     return out
 
 
@@ -256,26 +277,14 @@ def classical_disk_criterion(phi: LFMap) -> tuple[bool, float]:
 
     Our stored c is conjugated relative to the literal coefficient, so
     the test below substitutes accordingly.  Returns (verdict, margin)
-    with margin = rhs - lhs.  Both sides are formed from the coefficients
-    divided by the power of two 2^e that brings the largest modulus into
-    [1/2, 1), which is exact, so the verdict is lhs <= rhs at every scale.
-    The margin is stated at the coefficients' own scale, 2^(2e) times the
-    unit one: it may underflow, and past the largest double it raises
-    ContractViolation.
+    with margin = rhs - lhs.  Both sides are formed at unit scale (_unit),
+    so the verdict is the same at every scale; the margin is stated at the
+    coefficients' own scale (_stated, see the module docstring).
     """
     if phi.dim != 1:
         raise ContractViolation(f"disk criterion needs N = 1, got N = {phi.dim}")
-    coefficients = (phi.a[0, 0], phi.b[0], phi.c[0], phi.d)
-    e = math.frexp(max(abs(z) for z in coefficients))[1]
-    a, b, c, d = (complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in coefficients)
+    m, e = _unit(phi._m)
+    a, b, c, d = (complex(z) for z in (m[0, 0], m[0, 1], m[1, 0].conjugate(), m[1, 1]))
     lhs = abs(b * np.conj(d) - a * c) + abs(a * d - b * np.conj(c))
     rhs = abs(d) ** 2 - abs(c) ** 2
-    try:
-        margin = math.ldexp(rhs - lhs, 2 * e)
-    except OverflowError:
-        raise ContractViolation(
-            "disk criterion: its margin is stated at the coefficients' scale, "
-            "where it passes the largest double; divide the coefficients by a "
-            "common factor"
-        ) from None
-    return bool(lhs <= rhs), margin
+    return bool(lhs <= rhs), _stated(rhs - lhs, e, 2, "disk criterion: its margin")

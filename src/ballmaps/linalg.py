@@ -10,8 +10,7 @@ imaginary parts numpy would drop.  Arrays built from checked ones are
 not checked again.
 
 eig, eigh, eigvalsh, svd, svdvals and inverse are the package's one door
-to LAPACK: no other module factors a matrix, but for the QR of
-criterion.random_unitary, a sampler for tests.  Each calls the gufunc that
+to LAPACK: no other module factors a matrix.  Each calls the gufunc that
 numpy.linalg itself calls (numpy.linalg._umath_linalg, by its numpy 2.x
 name) with numpy.linalg's signature for complex input, so each result is
 numpy.linalg's bit for bit.  What the door leaves out is numpy.linalg's

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ballmaps import LFMap, linalg
+from ballmaps import LFMap, lfm, linalg
 
 GEN = Path(__file__).resolve().parents[1] / "benchmark" / "gen.py"
 
@@ -83,6 +83,22 @@ def random_ball_point(rng: np.random.Generator, n: int, radius: float = 0.9) -> 
     g = rng.standard_normal(2 * n)
     z = g[::2] + 1j * g[1::2]
     return z * (radius * rng.uniform() ** (1.0 / (2 * n)) / np.linalg.norm(z))
+
+
+def exact_multiples(m, ks):
+    """(k, m times 2^k) for each k where that scaling is exact: no entry
+    loses a bit in the subnormal range.  Another multiple is another map."""
+    scaled = [(k, m * 2.0**k) for k in ks]
+    return [(k, mk) for k, mk in scaled if np.array_equal(lfm._ldexp(mk, -k), m)]
+
+
+def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+    """A Haar-distributed n x n unitary matrix: the QR factor of a complex
+    Gaussian matrix, its columns' phases fixed by R's diagonal."""
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(g)
+    phases = np.diag(r)
+    return q * (phases / np.abs(phases))
 
 
 def random_complex_matrix(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -33,7 +33,7 @@ from ballmaps import (
     transposition_matrix,
 )
 from ballmaps.cli import main as cli_main
-from ballmaps.criterion import random_selfmap_shaped, random_unitary
+from ballmaps.criterion import random_selfmap_shaped
 from ballmaps.lfm import PoleError
 from ballmaps.quadric import (
     evaluate_batch as quadric_evaluate_batch,
@@ -41,6 +41,8 @@ from ballmaps.quadric import (
     pullback_affine,
     pullback_reflection,
 )
+
+from conftest import random_unitary
 
 WORKED = LFMap(np.diag([1.0, 2.0]), [1.0, 0.0], [-1.0, 0.0], 3.0)
 

@@ -1,6 +1,7 @@
 """JSON command-line interface: output format, determinism, exit codes."""
 
 import json
+import math
 import re
 import subprocess
 import sys
@@ -472,6 +473,12 @@ INPUT_CHECKS = {
         "{path}: quadratic part must be square of even size, got (1, 2)",
     ),
     "agreement_count_0": (None, ["agreement", "--count", "0"], "--count must be at least 1"),
+    # An integer too large for a double raised a bare OverflowError (exit 1).
+    "entry_past_the_largest_double": (
+        {"N": 1, "A": [[[10**400, 0]]], "B": [[0, 0]], "C": [[0, 0]], "D": [1, 0]},
+        ["check", "{path}"],
+        "A row entries must be doubles: int too large to convert to float",
+    ),
 }
 
 
@@ -540,18 +547,48 @@ def test_pole_and_degenerate_exit_3(capsys, tmp_path):
 
 
 def test_subnormal_scale_exits_2(capsys, tmp_path):
-    # max|m| and |d| are below the smallest normal double: malformed input,
-    # not numpy's LinAlgError and a traceback.
-    path = tmp_path / "subnormal.json"
-    path.write_text(
-        json.dumps({"N": 1, "A": [[[1e-313, 0]]], "B": [[5e-314, 0]], "C": [[2.5e-314, 0]], "D": [1e-313, 0]})
-    )
-    for command in ("krein", "check", "image", "supnorm"):
-        code, out, err = run_cli(capsys, [command, str(path)])
+    # z -> z/2 times 2^-1040: max|m| and |d| are below the smallest normal
+    # double.  The routes work at unit scale, so image and supnorm print the
+    # unit map's bytes; krein and check state t = 2^1039 sqrt(1.6), past the
+    # largest double, and exit 2 for that alone.
+    unit = half_map_file(tmp_path, "unit", 1.0)
+    path = half_map_file(tmp_path, "subnormal", 2.0**-1040)
+    for command in ("image", "supnorm"):
+        assert run_cli(capsys, [command, path]) == run_cli(capsys, [command, unit]), command
+    for command in ("krein", "check"):
+        code, out, err = run_cli(capsys, [command, path])
         assert (code, out) == (2, ""), command
-        msg = json.loads(err)
-        assert msg["error"] == "malformed_input", command
-        assert "below the smallest normal double" in msg["detail"], command
+        assert json.loads(err) == {
+            "error": "malformed_input",
+            "detail": "Krein test: its t is stated at the coefficients' scale, where it passes "
+            "the largest double; multiply the coefficients by a common factor",
+        }
+
+
+def test_worked_map_at_a_tiny_scale_gets_the_unit_verdicts(capsys, tmp_path, worked_file):
+    # The README's map times 2^-1000: check exited 2, its rows being below
+    # the smallest normal double.  They now underflow to 0, t is 2^1000 times
+    # the unit one, and every other field keeps its bytes.
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({**WORKED, **{key: scaled_entries(WORKED[key], 2.0**-1000) for key in "ABCD"}}))
+    unit = json.loads(run_cli(capsys, ["check", worked_file])[1])
+    code, out, err = run_cli(capsys, ["check", str(path)])
+    assert (code, err) == (0, "")
+    tiny = json.loads(out)
+    assert (tiny["row_lhs"], tiny["rhs"]) == ([0.0, 0.0], 0.0)
+    assert tiny["krein_t"] == math.ldexp(unit["krein_t"], 1000)
+    for key in ("row_lhs", "rhs", "krein_t"):
+        del unit[key], tiny[key]
+    assert tiny == unit
+    for command in ("image", "supnorm"):
+        assert run_cli(capsys, [command, str(path)]) == run_cli(capsys, [command, worked_file]), command
+
+
+def scaled_entries(value, scale):
+    """A map file's entry, or nested list of entries, times scale."""
+    if isinstance(value, list):
+        return [scaled_entries(v, scale) for v in value]
+    return value * scale
 
 
 def half_map_file(tmp_path, name, scale):

@@ -1,6 +1,7 @@
 """Row criterion, sup-norm oracle, indefinite-metric check, classification."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -36,10 +37,16 @@ from ballmaps.criterion import (
     classify_fixed_point,
     random_pole_free_map,
     random_selfmap_shaped,
-    random_unitary,
 )
 
-from conftest import gen_map, lapack_calls, load_gen, near_sphere_contraction
+from conftest import (
+    exact_multiples,
+    gen_map,
+    lapack_calls,
+    load_gen,
+    near_sphere_contraction,
+    random_unitary,
+)
 
 
 def involution_map(alpha):
@@ -120,35 +127,50 @@ def test_worked_rows(worked_map):
 
 def test_rows_are_stated_at_the_coefficients_scale(worked_map):
     # rows and rhs scale as |d|^4: at 1e40 they are 1e160 times the
-    # unit-scale ones, at 1e80 they would pass 1e308 and the test refuses;
-    # at 1e-80 they would be subnormal (6.4e-319) and it refuses too
+    # unit-scale ones, and at 1e77 and up they would pass 1e308, so the test
+    # refuses.  At 1e-78 and below they underflow, which is no refusal: the
+    # rhs of 1e-78 is subnormal (6.4e-311) and that of 1e-170 is 0, and the
+    # verdicts are the unit map's.
     def scaled(s):
         return LFMap(worked_map.a * s, worked_map.b * s, worked_map.c * s, worked_map.d * s)
 
+    unit = check(worked_map)
     for s in (1e40, 1e-40):
         lhs, rhs, ok = row_criterion(scaled(s))
         np.testing.assert_allclose(lhs, np.array([64.0, 48.0]) * s**4, rtol=1e-15)
         assert abs(rhs - 64.0 * s**4) <= 1e-15 * 64.0 * s**4
         assert ok.tolist() == [True, True]
-    for s in (1e77, 1e80, 1e160, 1e-78, 1e-80, 1e-170):
-        with pytest.raises(ContractViolation):
+    for s in (1e77, 1e80, 1e160):
+        with pytest.raises(ContractViolation, match="the largest row is stated at the coefficients' scale"):
             row_criterion(scaled(s))
-        with pytest.raises(ContractViolation):
+        with pytest.raises(ContractViolation, match="passes the largest double; divide"):
             check(scaled(s))
         sup, verdict = oracle_is_selfmap(scaled(s))
         assert abs(sup - 1.0) <= 4e-16 and verdict
+    for s in (1e-78, 1e-80, 1e-170):
+        report = check(scaled(s))
+        assert 0.0 <= report.rhs < sys.float_info.min
+        assert (report.rhs == 0.0) == (s == 1e-170)
+        assert all(0.0 <= x <= report.rhs for x in report.row_lhs)
+        assert report.row_verdict == unit.row_verdict and report.oracle_selfmap
+        assert report.classification == unit.classification
 
 
 def test_rows_are_homogeneous_under_powers_of_two():
     # 2^k times the coefficients gives rows and rhs 2^(4k) times the
     # unscaled ones, bit for bit: the squares are x * x, which a power of
-    # two passes through exactly, and float ** 2 (libm pow) does not.
+    # two passes through exactly, and float ** 2 (libm pow) does not.  At
+    # 2^-500 and 2^-1000 both underflow to 0; at 2^500 they pass the
+    # largest double, and the test refuses.
     maps = [gen_map(e) for seed in range(1, 21) for e in load_gen().check_mixed(seed)]
     for phi in maps:
         lhs, rhs, ok = row_criterion(phi)
-        m = phi.associated_matrix()
-        for k in (3, 10, 15, -3, -10):
-            lhs_k, rhs_k, ok_k = row_criterion(coefficient_map(m * 2.0**k))
+        for k, mk in exact_multiples(phi.associated_matrix(), (3, 10, 15, 500, -3, -10, -500, -1000)):
+            if k == 500:
+                with pytest.raises(ContractViolation, match="passes the largest double"):
+                    row_criterion(coefficient_map(mk))
+                continue
+            lhs_k, rhs_k, ok_k = row_criterion(coefficient_map(mk))
             assert rhs_k == math.ldexp(rhs, 4 * k), k
             assert lhs_k.tobytes() == (lhs * 2.0 ** (4 * k)).tobytes(), k
             assert ok_k.tolist() == ok.tolist(), k
@@ -247,22 +269,31 @@ def test_axis_translation_is_rejected_by_one_row():
     assert not report.discrepancy_flag
 
 
-def test_krein_and_classifier_are_equivariant_under_powers_of_two():
-    # m and 2^k m share one pencil (_pencil divides by max|m|): t scales by
-    # 2^-k, and the class and the fixed point keep every bit.
-    for entry in load_gen().check_mixed(1):
-        phi = gen_map(entry)
+def test_krein_and_classifier_are_equivariant_under_powers_of_two(worked_map):
+    # m and 2^k m share one pencil (_pencil divides by max|m|, through
+    # _divide where it is subnormal): t scales by 2^-k, and the class and
+    # the fixed point keep every bit.  A t past the largest double is
+    # refused: the README's map at 2^-1040, where max|m| is subnormal, and
+    # the benchmark's copies scaled by 1e-8 at 2^-1000, whose scaling is not
+    # exact and which are left out.
+    maps = [gen_map(entry) for entry in load_gen().check_mixed(1)] + [worked_map]
+    for phi in maps:
         t = krein_check(phi)
         kind, point = classify_fixed_point(phi, oracle_is_selfmap(phi)[0])
-        for k in (1, 40, 500, -1, -40, -500):
-            scaled = gen_map({**entry, "m": entry["m"] * 2.0**k})
-            t_k = krein_check(scaled)
-            assert (t_k is None) == (t is None), (entry["kind"], k)
-            assert t is None or math.ldexp(t_k, k) == t, (entry["kind"], k)
+        ks = (1, 40, 500, -1, -40, -500, -1000) + ((-1040,) if phi is worked_map else ())
+        for k, mk in exact_multiples(phi.associated_matrix(), ks):
+            scaled = coefficient_map(mk)
+            try:
+                expected = None if t is None else math.ldexp(t, -k)
+            except OverflowError:
+                with pytest.raises(ContractViolation, match="passes the largest double; multiply"):
+                    krein_check(scaled)
+            else:
+                assert krein_check(scaled) == expected, k
             kind_k, point_k = classify_fixed_point(scaled, oracle_is_selfmap(scaled)[0])
-            assert kind_k == kind, (entry["kind"], k)
-            assert (point_k is None) == (point is None), (entry["kind"], k)
-            assert point is None or point_k.tobytes() == point.tobytes(), (entry["kind"], k)
+            assert kind_k == kind, k
+            assert (point_k is None) == (point is None), k
+            assert point is None or point_k.tobytes() == point.tobytes(), k
 
 
 def test_krein_metric_layout():

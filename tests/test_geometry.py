@@ -25,9 +25,9 @@ from ballmaps import (
     oracle_is_selfmap,
     row_criterion,
 )
-from ballmaps.criterion import random_pole_free_map, random_unitary
+from ballmaps.criterion import random_pole_free_map
 
-from conftest import gen_map, load_gen, random_ball_point
+from conftest import exact_multiples, gen_map, load_gen, random_ball_point, random_unitary
 
 # |c| by hypot is 0.9999999999999999, so the map is pole free, but |c|^2 by
 # vdot rounds to 1.0: the pole lies within rounding of the sphere.
@@ -200,31 +200,26 @@ def test_image_ellipsoid_refuses_a_pole_within_rounding_of_the_sphere():
             route(phi)
 
 
-def test_image_ellipsoid_at_power_of_two_scales():
-    # A map and its multiples by 2^+-500 have one ellipsoid, bit for bit.
-    # A |d| below the smallest normal double, where 1/d overflows, raises
-    # ContractViolation before any division, with no numpy warning.
+def test_image_ellipsoid_at_power_of_two_scales(worked_map):
+    # A map and its exact multiples by 2^+-500 and 2^-1000 have one
+    # ellipsoid, bit for bit, with no numpy warning.  Where |d| is subnormal
+    # (the README's map at 2^-1040), a, b and c are divided through
+    # lfm._divide, whose power of two keeps 1/d in range.
     gen = load_gen()
-    entries = gen.check_mixed(1) + gen.oracle_sweep(1)
-    refused = {-1000: 0, -1040: 0}
-    for entry in entries:
-        ell = image_ellipsoid(gen_map(entry))
-        for k in (500, -500):
-            got = image_ellipsoid(gen_map({**entry, "m": entry["m"] * 2.0**k}))
-            assert got.center.tobytes() == ell.center.tobytes(), k
-            assert got.shape.tobytes() == ell.shape.tobytes(), k
-        for k in refused:
-            phi = gen_map({**entry, "m": entry["m"] * 2.0**k})
+    maps = [gen_map(entry) for entry in gen.check_mixed(1) + gen.oracle_sweep(1)] + [worked_map]
+    subnormal_d = 0
+    for phi in maps:
+        ell = image_ellipsoid(phi)
+        ks = (500, -500, -1000) + ((-1040,) if phi is worked_map else ())
+        for k, mk in exact_multiples(phi.associated_matrix(), ks):
+            scaled = gen_map({"m": mk, "n": phi.dim})
+            subnormal_d += abs(scaled.d) < sys.float_info.min
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                if abs(phi.d) >= sys.float_info.min:
-                    image_ellipsoid(phi)
-                    continue
-                with pytest.raises(ContractViolation, match="smallest normal double"):
-                    image_ellipsoid(phi)
-            refused[k] += 1
-    # 2 of the 137 maps at 2^-1000 and 135 at 2^-1040 have a subnormal d.
-    assert refused == {-1000: 2, -1040: 135}
+                got = image_ellipsoid(scaled)
+            assert got.center.tobytes() == ell.center.tobytes(), k
+            assert got.shape.tobytes() == ell.shape.tobytes(), k
+    assert subnormal_d == 1
 
 
 def test_image_ellipsoid_rebuilds_bit_for_bit_through_the_public_constructor(worked_map):

@@ -254,7 +254,7 @@ def test_evaluate_divides_by_a_subnormal_denominator():
     # numpy's complex division forms 1 / den, which overflows for a subnormal
     # den: these maps were refused at every point as "map value past the
     # largest double".  A copy of a map scaled by 2^-1050 gives the unit
-    # map's bits, since its rows are formed again at unit scale.
+    # map's bits, since every map is evaluated at unit scale.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         half = LFMap([[2.0**-1040]], [0.0], [0.0], 2.0**-1039)  # z -> z/2
@@ -265,6 +265,16 @@ def test_evaluate_divides_by_a_subnormal_denominator():
         tiny = LFMap(unit.a * 2.0**-1050, unit.b * 2.0**-1050, unit.c * 2.0**-1050, unit.d * 2.0**-1050)
         pts = [[0.5], [0.25j], [-0.9], [0.0]]
         assert evaluate_batch(tiny, pts).tobytes() == evaluate_batch(unit, pts).tobytes()
+
+
+def test_evaluate_where_only_the_products_overflow():
+    # At the coefficients' scale a z (1e310) and the denominator <z, c> + d
+    # (2^1024) passed the largest double, and both were refused; at unit
+    # scale they stay in range and the values are exact.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert evaluate(LFMap([[1e300]], [0.0], [0.0], 1e300), [1e10]) == 1e10
+        assert evaluate(LFMap([[1.0]], [0.0], [2.0], 1.0), [2.0**1023]).tolist() == [0.5]
 
 
 def test_from_associated_matrix_normalizes_scale(worked_map):

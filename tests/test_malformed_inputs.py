@@ -15,11 +15,9 @@ from ballmaps import (
     LFMap,
     ShapeError,
     bruhat_factorize,
-    classify_fixed_point,
     compose_factor_maps,
     factors_to_maps,
     from_associated_matrix,
-    image_ellipsoid,
     krein_check,
     pullback_affine,
     pullback_map,
@@ -43,9 +41,10 @@ POINTS_3 = np.full((2, 3), 0.1)
 
 
 def subnormal_map():
-    """A map LFMap accepts whose max|m| and |d| are below the smallest
-    normal double, so that 1/max|m| and 1/d overflow."""
-    return LFMap([[1e-313]], [5e-314], [2.5e-314], 1e-313)
+    """z -> z/2 with its coefficients times 2^-1040, a self-map whose max|m|
+    and |d| are below the smallest normal double: its Krein t, sqrt(1.6)
+    times 2^1040, passes the largest double."""
+    return LFMap([[2.0**-1041]], [0.0], [0.0], 2.0**-1040)
 
 
 MALFORMED = [
@@ -75,8 +74,6 @@ MALFORMED = [
     ("sphere_points_dim_0", lambda: sphere_points(3, 0, 1), ContractViolation),
     ("sphere_points_dim_negative", lambda: sphere_points(3, -1, 1), ContractViolation),
     ("krein_subnormal_scale", lambda: krein_check(subnormal_map()), ContractViolation),
-    ("classify_subnormal_scale", lambda: classify_fixed_point(subnormal_map(), 0.5), ContractViolation),
-    ("ellipsoid_subnormal_d", lambda: image_ellipsoid(subnormal_map()), ContractViolation),
     # Past the largest double: an entry's modulus (numpy's SVD returns nan)
     # or the norm (inf).  from_associated_matrix divides by d unless d is
     # negligible, so its overflowing norm comes with d = 1.
@@ -92,10 +89,14 @@ MALFORMED = [
         lambda: from_associated_matrix([[1.7e308, 1.7e308], [0.0, 1.0]]),
         ContractViolation,
     ),
-    # Products past the largest double: the numerator a z + b and the
-    # denominator <z, c> + d.
-    ("evaluate_overflowing_value", lambda: lfm.evaluate(LFMap([[1e300]], [0.0], [0.0], 1e300), [1e10]), ContractViolation),
-    ("evaluate_overflowing_denominator", lambda: lfm.evaluate(LFMap([[1.0]], [0.0], [2.0], 1.0), [1e308]), ContractViolation),
+    # Past the largest double at unit scale, where evaluate works: the value
+    # 2e308, and the denominator 0.75 (z1 + z2) at z = (1.5e308, 1.5e308).
+    ("evaluate_overflowing_value", lambda: lfm.evaluate(LFMap([[2.0]], [0.0], [0.0], 1.0), [1e308]), ContractViolation),
+    (
+        "evaluate_overflowing_denominator",
+        lambda: lfm.evaluate(LFMap(np.eye(2) / 2, [0.0, 0.0], [0.75, 0.75], 0.5), [1.5e308, 1.5e308]),
+        ContractViolation,
+    ),
     ("associated_matrix_1x1", lambda: from_associated_matrix([[1.0]]), ShapeError),
     ("map_points_of_other_dim", lambda: lfm.evaluate_batch(LFMap.identity(2), POINTS_3), ShapeError),
     ("ellipsoid_center_vs_shape", lambda: EllipsoidImage(np.zeros(3), np.eye(2)), ShapeError),

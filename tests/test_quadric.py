@@ -29,7 +29,7 @@ from ballmaps.quadric import (
     to_hermitian,
 )
 
-from conftest import gen_map, load_gen
+from conftest import gen_map, load_gen, random_unitary
 
 
 def unit_sphere(n):
@@ -208,7 +208,6 @@ def test_pullback_map_worked_frozen(worked_map):
 
 def test_pullback_map_automorphism_preserves_sphere():
     from ballmaps import BallAutomorphism, automorphism_to_lfmap
-    from ballmaps.criterion import random_unitary
 
     rng = np.random.default_rng(65)
     for _ in range(10):
