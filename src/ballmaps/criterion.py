@@ -20,13 +20,14 @@ isotropic one (Cowen and MacCluer 2000; Bisi and Bracci 2002).
 Each route factors the one small matrix as few times as it can.  m / max|m|,
 that scale, J, its sign vector and H = m* J m are formed in one place,
 _pencil: once per check(), which hands them to krein_check and
-classify_fixed_point, and once per call of either on its own.  Each
-factorization (eig, eigh, eigvalsh, svd) is a call through linalg, the
-package's one door to LAPACK, which gives numpy.linalg's results bit for bit
-without its per-call dispatch, about as costly as LAPACK's own work at this
-size.  What follows each LAPACK call on these (N+1)-sized matrices runs on
-Python floats; |x|^2 and sums keep numpy's own np.abs and reduction order,
-which fix their last bit.
+classify_fixed_point, and once per call of either on its own.  Least
+J-forms are closed form (_least_form): no Gram matrix is factored.  Each
+factorization (eig, eigh, svd) is a call through linalg, the package's one
+door to LAPACK, which gives numpy.linalg's results bit for bit without its
+per-call dispatch, about as costly as LAPACK's own work at this size.  What
+follows each LAPACK call on these (N+1)-sized matrices runs on Python
+floats; |x|^2 and sums keep numpy's own np.abs and reduction order, which
+fix their last bit.
 """
 
 from __future__ import annotations
@@ -238,11 +239,14 @@ def _contact_point(j: np.ndarray, h: np.ndarray, c: list) -> float | None:
     There f <= 0 touches 0 at a repeated zero of det(J - s H), the largest
     real mu, which rounding splits into the first run of the sorted
     candidates c.  That run costs one eigh at its mean s, accepted when
-    f(s) is 0 to KREIN_PSD_TOL and s times the slopes -V* H V on the
-    kernel V take both signs: 0 is then a supergradient (Lewis and
+    f(s) is 0 to KREIN_PSD_TOL and s times the slopes -K* H K on the
+    kernel K take both signs: 0 is then a supergradient (Lewis and
     Overton, "Eigenvalue optimization", Acta Numerica 1996).  A repeated
     zero at an end of a feasible interval has slopes of one sign: z -> a z
     on B^N, N >= 2, at s = 1/a^2, where s times each slope is -1.
+    s H K = J K up to the kernel's eigenvalues, so s times the slopes are
+    those of -K* J K, -1 (k - 1 times) and -least (_least_form, no eigh):
+    both signs when least, or |least| for k = 1, is <= KREIN_PSD_TOL.
     """
     k = 1
     while k < len(c) and c[k] - c[k - 1] <= _KREIN_CLUSTER_RTOL * c[k]:
@@ -254,8 +258,8 @@ def _contact_point(j: np.ndarray, h: np.ndarray, c: list) -> float | None:
     if abs(lam[0].item()) > KREIN_PSD_TOL:
         return None
     kernel = vec[:, lam <= KREIN_PSD_TOL]
-    slopes = linalg.eigvalsh(-(kernel.conj().T @ h @ kernel)).tolist()
-    return s if s * slopes[0] <= KREIN_PSD_TOL and s * slopes[-1] >= -KREIN_PSD_TOL else None
+    least, _ = _least_form(kernel)
+    return s if (least if kernel.shape[1] > 1 else abs(least)) <= KREIN_PSD_TOL else None
 
 
 def krein_check(phi: LFMap, *, _pen=None) -> float | None:
@@ -438,7 +442,7 @@ def _nonpositive_eigenvector(m: np.ndarray, jd: np.ndarray):
     into close computed ones with nearly parallel eigenvectors, whose mean
     is exact to rounding.  Distinct eigenvalues can look alike (a point
     near the sphere and its mirror image); their mean leaves m - lam I
-    nonsingular, and lam is taken alone."""
+    nonsingular to _MEAN_RTOL: lam is simple, and eig's own vector serves."""
     w, vec = linalg.eig(m)
     form = (jd @ np.abs(vec) ** 2).tolist()
     values, moduli = w.tolist(), np.abs(w).tolist()
@@ -448,12 +452,10 @@ def _nonpositive_eigenvector(m: np.ndarray, jd: np.ndarray):
         return form[i], vec[:, i], values[i]
     cosines = np.abs(vec.conj().T @ vec[:, i]).tolist()
     group = [k for k in near if cosines[k] >= 1.0 - _PARALLEL_TOL]
-    eye = np.eye(len(values))
     lam = complex(w[group].sum() / len(group))
-    _, sing, v = linalg.svd(m - lam * eye)
+    _, sing, v = linalg.svd(m - lam * np.eye(len(values)))
     if len(group) > 1 and sing[-1] > _MEAN_RTOL * sing[0]:
-        lam = values[i]
-        _, sing, v = linalg.svd(m - lam * eye)
+        return form[i], vec[:, i], values[i]
     least, x = _least_form(v[:, sing <= max(_NULL_RTOL * sing[0], sing[-1])])
     return least, x, lam
 

@@ -9,16 +9,15 @@ quadric: it coerces to float64 and also refuses complex entries, whose
 imaginary parts numpy would drop.  Arrays built from checked ones are
 not checked again.
 
-eig, eigh, eigvalsh, svd, svdvals and inverse are the package's one door
-to LAPACK: no other module factors a matrix.  Each calls the gufunc that
-numpy.linalg itself calls (numpy.linalg._umath_linalg, by its numpy 2.x
-name) with numpy.linalg's signature for complex input, so each result is
-numpy.linalg's bit for bit.  What the door leaves out is numpy.linalg's
-per-call dispatch: type promotion, eig's finiteness scan, a fresh errstate
-and the wrapping of results.  That dispatch costs 3-8 us per call (5 x 5
-complex, one thread), against 2-20 us for LAPACK's own work: a quarter
-to three fifths of each call on the package's matrices, 9 x 9 and
-smaller, of which a check() factors about seven.
+eig, eigh, svd, svdvals and inverse are the package's one door to LAPACK:
+no other module factors a matrix.  Each calls the gufunc that numpy.linalg
+itself calls (numpy.linalg._umath_linalg, by its numpy 2.x name) with
+numpy.linalg's signature for complex input, so each result is numpy.linalg's
+bit for bit.  What the door leaves out is numpy.linalg's per-call dispatch:
+type promotion, eig's finiteness scan, a fresh errstate and the wrapping of
+results.  That dispatch costs 3-8 us per call (5 x 5 complex, one thread),
+against 2-20 us for LAPACK's own work: a quarter to three fifths of each
+call on the package's matrices, 9 x 9 and smaller, two to seven a check().
 
 Precondition: every argument is a finite, square complex128 matrix that
 the package formed from checked arrays.  Nothing here tests that.  A
@@ -98,11 +97,6 @@ def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and orthonormal eigenvector columns of a
     Hermitian matrix, read from its lower triangle, as numpy.linalg.eigh."""
     return _lapack(_umath_linalg.eigh_lo, a, "D->dD")
-
-
-def eigvalsh(a: np.ndarray) -> np.ndarray:
-    """The ascending eigenvalues of eigh, as numpy.linalg.eigvalsh."""
-    return _lapack(_umath_linalg.eigvalsh_lo, a, "D->d")
 
 
 def inverse(a: np.ndarray) -> np.ndarray:

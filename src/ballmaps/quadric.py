@@ -261,7 +261,11 @@ def pullback_map(q: Quadric, phi: LFMap) -> Quadric:
 
     For Hermitian-type q this is m* Q m on the homogeneous matrix; the
     result satisfies q'(z) = q(phi(z)) |<z,C> + D|^2.  Non-Hermitian
-    quadrics are supported for affine maps only.
+    quadrics are supported for affine maps only.  The result is stated at
+    the map's own scale, degree 2: 2^k times the coefficients gives 2^(2k)
+    times the quadric (exactly at 2^+-500), so where that leaves the range
+    of doubles, as at 2^+-1000, the congruence underflows to an all-zero
+    quadric or passes the largest double, and either raises ContractViolation.
     """
     if phi.dim != q.dim:
         raise ShapeError(f"map dimension {phi.dim} vs quadric dimension {q.dim}")

@@ -19,10 +19,15 @@ def load_gen():
     return module
 
 
+def coefficient_map(m) -> LFMap:
+    """The map with associated matrix m, coefficients taken as they are."""
+    n = m.shape[0] - 1
+    return LFMap(m[:n, :n], m[:n, n], np.conj(m[n, :n]), m[n, n])
+
+
 def gen_map(entry) -> LFMap:
     """The map of a benchmark/gen.py entry, from its associated matrix."""
-    m, n = entry["m"], entry["n"]
-    return LFMap(m[:n, :n], m[:n, n], np.conj(m[n, :n]), m[n, n])
+    return coefficient_map(entry["m"])
 
 
 # ballmaps.linalg's door to LAPACK, each function by the kind of call it
@@ -30,7 +35,6 @@ def gen_map(entry) -> LFMap:
 DOOR = {
     "eig": "eig",
     "eigh": "eigh",
-    "eigvalsh": "eigvalsh",
     "svd": "svd",
     "svdvals": "svd",
     "inverse": "inverse",

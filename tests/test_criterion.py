@@ -40,6 +40,7 @@ from ballmaps.criterion import (
 )
 
 from conftest import (
+    coefficient_map,
     exact_multiples,
     gen_map,
     lapack_calls,
@@ -51,12 +52,6 @@ from conftest import (
 
 def involution_map(alpha):
     return automorphism_to_lfmap(BallAutomorphism(alpha, np.eye(len(alpha))))
-
-
-def coefficient_map(m):
-    """The map with associated matrix m, coefficients taken as they are."""
-    n = m.shape[0] - 1
-    return LFMap(m[:n, :n], m[:n, n], np.conj(m[n, :n]), m[n, n])
 
 
 def krein_min_eig(phi, t):
@@ -772,19 +767,19 @@ def siegel_boundary_map(kind, n, rng):
     return t
 
 
-@pytest.mark.parametrize(
-    "kind",
-    [
-        "pure_translation",
-        "rotation_1e-2",
-        "rotation_1e-4",
-        "rotation_1e-7",
-        "heisenberg",
-        "hyperbolic",
-        "parabolic_automorphism",
-        "hyperbolic_automorphism",
-    ],
+SIEGEL_KINDS = (
+    "pure_translation",
+    "rotation_1e-2",
+    "rotation_1e-4",
+    "rotation_1e-7",
+    "heisenberg",
+    "hyperbolic",
+    "parabolic_automorphism",
+    "hyperbolic_automorphism",
 )
+
+
+@pytest.mark.parametrize("kind", SIEGEL_KINDS)
 @pytest.mark.parametrize("n", range(2, 9))
 def test_denjoy_wolff_point_matches_construction(kind, n):
     rng = np.random.default_rng([57, n, len(kind)])
@@ -803,9 +798,69 @@ def test_denjoy_wolff_point_with_nearly_parallel_eigenvectors(theta, ratio):
     # eigenvectors are nearly parallel, and the eigenvalues distinct even
     # where they lie within 1e-4 of each other
     t = np.array([[np.exp(1j * theta), 1.0], [1.0, 1.0]])
-    report = check(coefficient_map(t @ np.diag([ratio, 1.0]) @ np.linalg.inv(t)))
+    phi = coefficient_map(t @ np.diag([ratio, 1.0]) @ np.linalg.inv(t))
+    report = check(phi)
     assert report.classification == CLASS_BOUNDARY
     np.testing.assert_allclose(report.fixed_point, [1.0], rtol=0.0, atol=1e-9)
+    # At ratio 1 - 5e-5 the eigenvalues form a cluster, which takes one SVD;
+    # where their mean leaves m - lam I nonsingular (theta <= 0.03), lam is
+    # simple and keeps eig's own eigenvector, with no second SVD.
+    with lapack_calls() as calls:
+        classify_fixed_point(phi, report.oracle_sup)
+    assert calls["svd"] == (ratio != 0.5), calls
+
+
+def test_contact_slopes_are_the_kernel_j_form(monkeypatch):
+    # On the kernel K of J - s H at contact, s H K = J K to KREIN_PSD_TOL, so
+    # the slopes -s K* H K are the eigenvalues of -K* J K: -1, k - 1 times,
+    # and -least.  The contact test reads its decision off least; here each
+    # of its evaluations is held to the eigenvalues of the Gram matrix and to
+    # the decision they give, on boundary maps of every kind.
+    gen = load_gen()
+    maps = [
+        gen_map(e)
+        for seed in (1, 2, 3)
+        for e in gen.check_mixed(seed)
+        if e["expect"] == CLASS_BOUNDARY
+    ]
+    for kind in SIEGEL_KINDS:
+        for n in (2, 3, 5, 8):
+            rng = np.random.default_rng([63, n, len(kind)])
+            maps.append(siegel_conjugate(siegel_boundary_map(kind, n, rng), rng)[0])
+    contact, evaluations = criterion._contact_point, []
+
+    def recording(j, h, c):
+        record = []
+        with lapack_calls(record):
+            s = contact(j, h, c)
+        # one eigh, or none for a run of one candidate
+        assert [name for name, _ in record] in ([], ["eigh"]), record
+        evaluations.extend((j, h, a, s) for _, a in record)
+        return s
+
+    monkeypatch.setattr(criterion, "_contact_point", recording)
+    for phi in maps:
+        krein_check(phi)
+    tol = criterion.KREIN_PSD_TOL
+    compared = 0
+    for j, h, a, s_returned in evaluations:
+        lam, vec = np.linalg.eigh(a)
+        if abs(lam[0]) > tol:
+            assert s_returned is None
+            continue
+        # a = J - s H; s is recovered to rounding by least squares
+        s = float(np.vdot(h, j - a).real / np.vdot(h, h).real)
+        kernel = vec[:, lam <= tol]
+        k = kernel.shape[1]
+        gram = -s * (kernel.conj().T @ h @ kernel)
+        slopes = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)
+        least, _ = _least_form(kernel)
+        expected = np.sort(np.append(-np.ones(k - 1), -least))
+        np.testing.assert_allclose(slopes, expected, rtol=0.0, atol=1e-9)
+        gram_accepts = slopes[0] <= tol and slopes[-1] >= -tol
+        assert gram_accepts == (s_returned is not None), (k, least, slopes)
+        compared += 1
+    assert compared >= len(maps) // 2, (compared, len(maps))
 
 
 def test_classify_map_fixing_a_disc():

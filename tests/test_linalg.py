@@ -1,7 +1,9 @@
 """Shape-checked linear algebra wrappers, and the door to LAPACK."""
 
+import ast
 import functools
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,7 +46,6 @@ def numpy_svd(a):
 NUMPY = {
     "eig": np.linalg.eig,
     "eigh": np.linalg.eigh,
-    "eigvalsh": np.linalg.eigvalsh,
     "svd": numpy_svd,
     "svdvals": lambda a: np.linalg.svd(a, compute_uv=False),
     "inverse": np.linalg.inv,
@@ -205,7 +206,7 @@ def test_door_is_numpy_linalg_bit_for_bit(name):
         assert same_bits(door(a), NUMPY[name](a)), (name, a)
 
 
-@pytest.mark.parametrize("name", ["eig", "eigh", "eigvalsh", "svd", "svdvals"])
+@pytest.mark.parametrize("name", ["eig", "eigh", "svd", "svdvals"])
 def test_door_raises_linalgerror_on_nan_with_no_warning(name):
     # A NaN is outside the door's precondition; LAPACK's failure flag still
     # raises numpy's LinAlgError, and no numpy warning gets out.
@@ -226,3 +227,109 @@ def test_inverse_of_a_nan_matrix_is_numpys():
         warnings.simplefilter("error")
         assert same_bits(inverse(a), np.linalg.inv(a))
     assert np.isnan(inverse(a)).all()
+
+
+# numpy.linalg's factorizations, which only ballmaps.linalg may reach;
+# np.linalg.norm factors nothing and stays allowed everywhere.
+FACTORIZATIONS = {
+    "eig", "eigvals", "eigh", "eigvalsh", "svd", "inv", "qr", "solve",
+    "lstsq", "cholesky", "det", "pinv", "matrix_rank",
+}
+SRC = Path(linalg.__file__).resolve().parent
+
+
+def round_the_door(tree) -> list[str]:
+    """The nodes of a module's AST that reach LAPACK round ballmaps.linalg:
+    a numpy.linalg factorization, however numpy or numpy.linalg is
+    imported, and any use of numpy's _umath_linalg."""
+    numpy_names, linalg_names, found = set(), set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "numpy":
+                    numpy_names.add(alias.asname or "numpy")
+                elif alias.name == "numpy.linalg":
+                    (linalg_names if alias.asname else numpy_names).add(alias.asname or "numpy")
+                if "_umath_linalg" in alias.name:
+                    found.append(f"import {alias.name}")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            for alias in node.names:
+                if node.module == "numpy" and alias.name == "linalg":
+                    linalg_names.add(alias.asname or "linalg")
+                if "_umath_linalg" in node.module or alias.name == "_umath_linalg" or (
+                    node.module == "numpy.linalg" and alias.name in FACTORIZATIONS
+                ):
+                    found.append(f"from {node.module} import {alias.name}")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "_umath_linalg":
+            found.append(f"line {node.lineno}: _umath_linalg")
+        if not isinstance(node, ast.Attribute):
+            continue
+        if node.attr == "_umath_linalg":
+            found.append(f"line {node.lineno}: ._umath_linalg")
+        if node.attr not in FACTORIZATIONS:
+            continue
+        base = node.value
+        if (isinstance(base, ast.Name) and base.id in linalg_names) or (
+            isinstance(base, ast.Attribute)
+            and base.attr == "linalg"
+            and isinstance(base.value, ast.Name)
+            and base.value.id in numpy_names
+        ):
+            found.append(f"line {node.lineno}: numpy.linalg.{node.attr}")
+    return found
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "import numpy as np\nnp.linalg.eigvalsh(a)",
+        "import numpy\nnumpy.linalg.qr(a)",
+        "import numpy.linalg\nnumpy.linalg.solve(a, b)",
+        "import numpy.linalg as la\nla.det(a)",
+        "from numpy import linalg as la\nla.pinv(a)",
+        "from numpy.linalg import cholesky",
+        "from numpy.linalg import _umath_linalg",
+        "import numpy as np\nnp.linalg._umath_linalg.eig(a)",
+    ],
+)
+def test_round_the_door_finds_each_way_round(source):
+    assert round_the_door(ast.parse(source))
+    assert not round_the_door(ast.parse("import numpy as np\nnp.linalg.norm(a)"))
+
+
+def test_no_module_goes_round_the_door():
+    # A static scan of every module but the door itself: one that calls
+    # numpy.linalg's factorizations or its gufuncs directly escapes the
+    # door's error policy and lapack_calls' counts, even on a path the
+    # tests never run.
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "linalg.py")
+    assert modules
+    for path in modules:
+        assert round_the_door(ast.parse(path.read_text())) == [], path.name
+
+
+def test_every_door_function_has_a_caller():
+    # The door functions are those of linalg.py that call LAPACK through
+    # _lapack, exactly conftest's DOOR; each has a caller in another module
+    # of the package, so none is kept for nobody.
+    tree = ast.parse((SRC / "linalg.py").read_text())
+    door = {
+        f.name
+        for f in tree.body
+        if isinstance(f, ast.FunctionDef)
+        and any(isinstance(n, ast.Name) and n.id == "_lapack" for n in ast.walk(f))
+        and f.name != "_lapack"
+    }
+    assert door == set(DOOR)
+    called = set()
+    for path in SRC.glob("*.py"):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id == "linalg":
+                    called.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module == "linalg" and node.level:
+                called.update(alias.name for alias in node.names)
+    assert door <= called, door - called

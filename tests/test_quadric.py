@@ -29,7 +29,7 @@ from ballmaps.quadric import (
     to_hermitian,
 )
 
-from conftest import gen_map, load_gen, random_unitary
+from conftest import coefficient_map, gen_map, load_gen, random_unitary
 
 
 def unit_sphere(n):
@@ -316,6 +316,30 @@ def test_pullback_rebuilds_byte_identical_through_the_public_constructor(worked_
         assert again.b.tobytes() == pulled.b.tobytes()
         assert type(pulled.c) is float and np.float64(again.c).tobytes() == np.float64(pulled.c).tobytes()
         assert not (pulled.s.flags.writeable or pulled.b.flags.writeable)
+
+
+def test_pullback_is_stated_at_the_maps_scale():
+    # The pullback has degree 2 in the map's coefficients: 2^k times them
+    # gives 2^(2k) times the quadric, bit for bit, at 2^+-500.  At 2^-1000
+    # the exact quadric lies below the smallest double and the congruence
+    # underflows to the all-zero quadric; at 2^1000 it passes the largest
+    # double.  Both are refused, on every factor-pullback map.
+    gen = load_gen()
+    for seed in (1, 2):
+        for entry in gen.factor_pullback(seed):
+            q = Quadric(*gen.real_form(entry["quadric"]))
+            unit = pullback_map(q, gen_map(entry))
+            for k in (500, -500, 1000, -1000):
+                scaled = coefficient_map(entry["m"] * 2.0**k)
+                if abs(k) == 1000:
+                    match = "all-zero quadric" if k < 0 else "must be finite"
+                    with pytest.raises(ContractViolation, match=match):
+                        pullback_map(q, scaled)
+                    continue
+                out = pullback_map(q, scaled)
+                assert out.s.tobytes() == np.ldexp(unit.s, 2 * k).tobytes(), (seed, k)
+                assert out.b.tobytes() == np.ldexp(unit.b, 2 * k).tobytes(), (seed, k)
+                assert out.c == np.ldexp(unit.c, 2 * k), (seed, k)
 
 
 def test_overflowing_congruence_raises():
